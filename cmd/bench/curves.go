@@ -6,22 +6,17 @@ import (
 
 	"perfscale/internal/analytics"
 	"perfscale/internal/machine"
-	"perfscale/internal/sim"
 )
 
-// scalingCurves measures the quick strong+weak efficiency-vs-p sweep on
-// both simulator backends — the rows BENCH_sim.json commits and the CI
-// scaling gate compares against its baseline.
+// scalingCurves measures the quick strong+weak efficiency-vs-p sweep — the
+// rows BENCH_sim.json commits and the CI scaling gate compares against its
+// baseline.
 func scalingCurves(m machine.Params) ([]analytics.CurvePoint, error) {
-	var all []analytics.CurvePoint
-	for _, rt := range []sim.Runtime{sim.RuntimeGoroutine, sim.RuntimeEvent} {
-		rows, err := analytics.QuickCurves(m, rt)
-		if err != nil {
-			return nil, fmt.Errorf("scaling curves (%v): %w", rt, err)
-		}
-		all = append(all, rows...)
+	rows, err := analytics.QuickCurves(m)
+	if err != nil {
+		return nil, fmt.Errorf("scaling curves: %w", err)
 	}
-	return all, nil
+	return rows, nil
 }
 
 // gateScaling compares measured curves against the committed baseline and

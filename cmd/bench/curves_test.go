@@ -81,7 +81,8 @@ func TestScalingGate(t *testing.T) {
 		t.Fatalf("regressions not reported:\n%s", out)
 	}
 
-	// The artifact carries both backends and all three algorithm families.
+	// The artifact carries the engine's rows for all three algorithm
+	// families.
 	cur, err := analytics.LoadCurves(filepath.Join(dir, "cur.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestScalingGate(t *testing.T) {
 	for _, want := range []string{
 		"strong/matmul-2.5d", "weak/matmul-2.5d",
 		"strong/nbody", "weak/nbody", "weak/fft-tree",
-		"rt/goroutine", "rt/event",
+		"rt/event",
 	} {
 		if !seen[want] {
 			t.Fatalf("curve artifact misses %s (have %v)", want, seen)

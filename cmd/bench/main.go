@@ -1,10 +1,8 @@
 // Command bench runs a fixed matrix of (algorithm, p, M) simulations and
 // records, for each, the runtime footprint of hosting it (wall-clock,
 // allocation, peak RSS, wired pair count) next to the simulated physics
-// (virtual time T and priced energy E). Its headline artifact is the
-// dense-vs-sparse wiring comparison: identical simulated results at every
-// p where dense is feasible, and a p = 16384 run that only sparse wiring
-// can host.
+// (virtual time T and priced energy E), from p = 256 up to a million
+// simulated ranks.
 //
 // Output is a JSON report (default BENCH_sim.json) meant to be committed,
 // so scaling regressions of the simulator itself show up in review.
@@ -34,16 +32,13 @@ import (
 	"perfscale/internal/sim"
 )
 
-// runRecord is one benchmark row: one algorithm at one (p, M) point under
-// one wiring mode.
+// runRecord is one benchmark row: one algorithm at one (p, M) point.
 type runRecord struct {
 	Algorithm string `json:"algorithm"`
 	Q         int    `json:"q"`
 	C         int    `json:"c"`
 	P         int    `json:"p"`
 	N         int    `json:"n"`
-	Wiring    string `json:"wiring"`
-	Runtime   string `json:"runtime"`
 
 	// Host-side footprint of running the simulation.
 	WallSeconds float64 `json:"wall_seconds"`
@@ -58,32 +53,6 @@ type runRecord struct {
 	MaxWordsSent float64 `json:"max_words_sent"`
 	MaxMsgsSent  float64 `json:"max_msgs_sent"`
 	MaxMemWords  float64 `json:"max_mem_words"`
-}
-
-// comparison records a dense-vs-sparse pair at one point and whether every
-// per-rank counter and clock matched bit for bit.
-type comparison struct {
-	Algorithm    string  `json:"algorithm"`
-	P            int     `json:"p"`
-	BitIdentical bool    `json:"bit_identical"`
-	DenseWallS   float64 `json:"dense_wall_seconds"`
-	SparseWallS  float64 `json:"sparse_wall_seconds"`
-	DensePairs   int     `json:"dense_active_pairs"`
-	SparsePairs  int     `json:"sparse_active_pairs"`
-}
-
-// backendComparison records a goroutine-vs-event runtime pair at one point:
-// the simulated Results must be bit-identical (same per-rank counters and
-// clocks, same product matrix), and the wall-clock ratio is the event
-// engine's payoff — at p = 16384 the event backend prices the run several
-// times faster, and beyond it only the event backend is feasible at all.
-type backendComparison struct {
-	Algorithm     string  `json:"algorithm"`
-	P             int     `json:"p"`
-	BitIdentical  bool    `json:"bit_identical"`
-	GoroutineWall float64 `json:"goroutine_wall_seconds"`
-	EventWall     float64 `json:"event_wall_seconds"`
-	Speedup       float64 `json:"speedup"`
 }
 
 // traceOverhead records the wall-clock cost of observing a run through the
@@ -122,7 +91,7 @@ type recoveryOverhead struct {
 }
 
 // campaignBench records the chaos-campaign engine's footprint: one full
-// event-backend sweep of the seeded under-provisioned-detector target (the
+// sweep of the seeded under-provisioned-detector target (the
 // red/green fixture pinned across the test suite), including delta-debugging
 // the first finding to its minimal reproducer. Cells, runs and coordinate
 // counts are deterministic and must not drift; wall time is the committed
@@ -140,20 +109,18 @@ type campaignBench struct {
 }
 
 type report struct {
-	Machine       string              `json:"machine"`
-	N             int                 `json:"n"`
-	Runs          []runRecord         `json:"runs"`
-	Comparisons   []comparison        `json:"dense_vs_sparse"`
-	Backends      []backendComparison `json:"goroutine_vs_event,omitempty"`
-	TraceOverhead *traceOverhead      `json:"trace_overhead,omitempty"`
-	Recovery      *recoveryOverhead   `json:"recovery_overhead,omitempty"`
-	Campaign      *campaignBench      `json:"campaign,omitempty"`
+	Machine       string            `json:"machine"`
+	N             int               `json:"n"`
+	Runs          []runRecord       `json:"runs"`
+	TraceOverhead *traceOverhead    `json:"trace_overhead,omitempty"`
+	Recovery      *recoveryOverhead `json:"recovery_overhead,omitempty"`
+	Campaign      *campaignBench    `json:"campaign,omitempty"`
 	// Conformance is the quick model-conformance sweep (the CI gate), with
 	// its wall time, so the gate's cost is tracked alongside the simulator's
 	// own scaling numbers.
 	Conformance *conformance.Report `json:"conformance,omitempty"`
-	// ScalingCurves are the strong- and weak-scaling efficiency-vs-p rows
-	// (both backends), committable as the scaling-gate baseline.
+	// ScalingCurves are the strong- and weak-scaling efficiency-vs-p rows,
+	// committable as the scaling-gate baseline.
 	ScalingCurves []analytics.CurvePoint `json:"scaling_curves,omitempty"`
 }
 
@@ -186,22 +153,16 @@ type algo struct {
 	run  func(cost sim.Cost, q, c int, a, b *matrix.Dense) (*matmul.RunResult, error)
 }
 
-type point struct {
-	q, c int
-	// denseToo also runs the point under dense wiring and records the
-	// bit-identical comparison. Kept to p ≤ 1024: dense wiring at 4096
-	// ranks allocates a 16M-entry queue matrix, at 16384 a 268M-entry one.
-	denseToo bool
-}
+type point struct{ q, c int }
 
 func main() {
 	var (
 		out      = flag.String("out", "BENCH_sim.json", "output JSON path")
 		mach     = flag.String("machine", "simdefault", "machine preset name or .json parameter file")
 		n        = flag.Int("n", 256, "matrix dimension (must be divisible by every grid size)")
-		big      = flag.Bool("big", true, "include the p=16384 run (sparse wiring only)")
-		huge     = flag.Bool("huge", true, "include the event-backend p=65536..1048576 family")
-		smoke    = flag.Bool("smoke", false, "run only the p=65536 event-backend point and exit (CI smoke)")
+		big      = flag.Bool("big", true, "include the p=16384 run")
+		huge     = flag.Bool("huge", true, "include the p=65536..1048576 family")
+		smoke    = flag.Bool("smoke", false, "run only the p=65536 point and exit (CI smoke)")
 		srv      = flag.Bool("serve", false, "benchmark the query service instead of the simulator")
 		serveOut = flag.String("serveout", "BENCH_serve.json", "output JSON path for -serve")
 
@@ -235,8 +196,8 @@ func main() {
 
 	if *curvesOnly {
 		// The CI scaling gate's fast path: measure the efficiency-vs-p
-		// curves on both backends, write the standalone artifact, and gate
-		// against the committed baseline if one was given.
+		// curves, write the standalone artifact, and gate against the
+		// committed baseline if one was given.
 		curves, err := scalingCurves(m)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -262,50 +223,41 @@ func main() {
 		{"2.5D-summa", matmul.TwoPointFiveDSUMMA},
 	}
 	points := []point{
-		{q: 16, c: 1, denseToo: true}, // p = 256
-		{q: 32, c: 1, denseToo: true}, // p = 1024
-		{q: 16, c: 4, denseToo: true}, // p = 1024, replicated
-		{q: 64, c: 1},                 // p = 4096: dense would need 16M queues
+		{q: 16, c: 1}, // p = 256
+		{q: 32, c: 1}, // p = 1024
+		{q: 16, c: 4}, // p = 1024, replicated
+		{q: 64, c: 1}, // p = 4096
 	}
-	bigPoint := point{q: 64, c: 4} // p = 16384: infeasible before sparse wiring
+	bigPoint := point{q: 64, c: 4} // p = 16384
 
 	a := matrix.Random(*n, *n, 1)
 	b := matrix.Random(*n, *n, 2)
 
 	// The simulated virtual-time cost comes from the machine's per-op
 	// times; ChanCap is kept small so queue buffers stay cheap at large p.
-	cost := sim.Cost{
-		GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
-		ChanCap:         8,
-		WatchdogTimeout: 10 * time.Minute,
-	}
+	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT, ChanCap: 8}
 
 	rep := report{Machine: *mach, N: *n}
 
-	measureOn := func(al algo, pt point, w sim.Wiring, rt sim.Runtime, dim int, ma, mb *matrix.Dense) (runRecord, *matmul.RunResult) {
-		c := cost
-		c.Wiring = w
-		c.Runtime = rt
+	measure := func(al algo, pt point, dim int, ma, mb *matrix.Dense) runRecord {
 		// Collect the previous row's garbage before the clock starts: with
-		// the relaxed GC target, an earlier row's heap (the dense p = 1024
-		// matrix is ~1M queues) otherwise lingers into this row's window
-		// and its cache/page pressure inflates the measurement severalfold.
+		// the relaxed GC target, an earlier row's heap otherwise lingers
+		// into this row's window and its cache/page pressure inflates the
+		// measurement.
 		runtime.GC()
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
 		start := time.Now()
-		res, err := al.run(c, pt.q, pt.c, ma, mb)
+		res, err := al.run(cost, pt.q, pt.c, ma, mb)
 		wall := time.Since(start)
 		runtime.ReadMemStats(&ms1)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s q=%d c=%d (%v, %v): %v\n", al.name, pt.q, pt.c, w, rt, err)
+			fmt.Fprintf(os.Stderr, "%s q=%d c=%d: %v\n", al.name, pt.q, pt.c, err)
 			os.Exit(1)
 		}
 		mx := res.Sim.MaxStats()
-		rec := runRecord{
+		return runRecord{
 			Algorithm: al.name, Q: pt.q, C: pt.c, P: pt.q * pt.q * pt.c, N: dim,
-			Wiring:       w.String(),
-			Runtime:      rt.String(),
 			WallSeconds:  wall.Seconds(),
 			AllocBytes:   ms1.TotalAlloc - ms0.TotalAlloc,
 			PeakRSSKB:    vmHWM(),
@@ -317,86 +269,26 @@ func main() {
 			MaxMsgsSent:  mx.MsgsSent,
 			MaxMemWords:  mx.PeakMemWords,
 		}
-		return rec, res
 	}
-	measure := func(al algo, pt point, w sim.Wiring) (runRecord, *matmul.RunResult) {
-		return measureOn(al, pt, w, sim.RuntimeGoroutine, *n, a, b)
-	}
-	printRec := func(rec runRecord) {
-		fmt.Printf("%-12s p=%-7d %-7s %-9s wall=%8.3fs pairs=%-8d T=%.4gs E=%.4gJ\n",
-			rec.Algorithm, rec.P, rec.Wiring, rec.Runtime, rec.WallSeconds,
-			rec.ActivePairs, rec.SimTime, rec.EnergyJoules)
-	}
-	// compareBackends runs the same point on the event backend, records its
-	// row, and pins the bit-identical comparison against the goroutine run.
-	compareBackends := func(al algo, pt point, gRec runRecord, gRes *matmul.RunResult) {
-		eRec, eRes := measureOn(al, pt, sim.WiringSparse, sim.RuntimeEvent, *n, a, b)
-		rep.Runs = append(rep.Runs, eRec)
-		printRec(eRec)
-		identical := gRes.C.MaxAbsDiff(eRes.C) == 0
-		for id := range gRes.Sim.PerRank {
-			if gRes.Sim.PerRank[id] != eRes.Sim.PerRank[id] {
-				identical = false
-				break
-			}
-		}
-		rep.Backends = append(rep.Backends, backendComparison{
-			Algorithm: al.name, P: gRec.P,
-			BitIdentical:  identical,
-			GoroutineWall: gRec.WallSeconds,
-			EventWall:     eRec.WallSeconds,
-			Speedup:       gRec.WallSeconds / eRec.WallSeconds,
-		})
-		if !identical {
-			fmt.Fprintf(os.Stderr, "%s p=%d: goroutine and event results DIVERGED\n", al.name, gRec.P)
-			os.Exit(1)
-		}
+	record := func(rec runRecord) {
+		rep.Runs = append(rep.Runs, rec)
+		fmt.Printf("%-12s p=%-7d wall=%8.3fs pairs=%-8d T=%.4gs E=%.4gJ\n",
+			rec.Algorithm, rec.P, rec.WallSeconds, rec.ActivePairs, rec.SimTime, rec.EnergyJoules)
 	}
 
 	if *smoke {
-		// CI smoke: one p = 65536 event-backend run proves the engine still
-		// hosts scales the goroutine runtime cannot, without paying for the
-		// full sweep. No report is written.
+		// CI smoke: one p = 65536 run proves the engine still hosts that
+		// scale, without paying for the full sweep. No report is written.
 		const smokeN = 512
 		sa := matrix.Random(smokeN, smokeN, 3)
 		sb := matrix.Random(smokeN, smokeN, 4)
-		rec, _ := measureOn(algos[0], point{q: 128, c: 4}, sim.WiringSparse, sim.RuntimeEvent, smokeN, sa, sb)
-		printRec(rec)
+		record(measure(algos[0], point{q: 128, c: 4}, smokeN, sa, sb))
 		return
 	}
 
 	for _, al := range algos {
 		for _, pt := range points {
-			sparseRec, sparseRes := measure(al, pt, sim.WiringSparse)
-			rep.Runs = append(rep.Runs, sparseRec)
-			printRec(sparseRec)
-			compareBackends(al, pt, sparseRec, sparseRes)
-			if !pt.denseToo {
-				continue
-			}
-			denseRec, denseRes := measure(al, pt, sim.WiringDense)
-			rep.Runs = append(rep.Runs, denseRec)
-			printRec(denseRec)
-
-			identical := denseRes.C.MaxAbsDiff(sparseRes.C) == 0
-			for id := range denseRes.Sim.PerRank {
-				if denseRes.Sim.PerRank[id] != sparseRes.Sim.PerRank[id] {
-					identical = false
-					break
-				}
-			}
-			rep.Comparisons = append(rep.Comparisons, comparison{
-				Algorithm: al.name, P: sparseRec.P,
-				BitIdentical: identical,
-				DenseWallS:   denseRec.WallSeconds,
-				SparseWallS:  sparseRec.WallSeconds,
-				DensePairs:   denseRec.ActivePairs,
-				SparsePairs:  sparseRec.ActivePairs,
-			})
-			if !identical {
-				fmt.Fprintf(os.Stderr, "%s p=%d: dense and sparse results DIVERGED\n", al.name, sparseRec.P)
-				os.Exit(1)
-			}
+			record(measure(al, pt, *n, a, b))
 		}
 	}
 
@@ -455,9 +347,7 @@ func main() {
 	}
 
 	// Recovery overhead at p = 256: SUMMA over the ARQ endpoints, clean vs
-	// a seeded plan of silent drops. Every masked drop costs about one
-	// watchdog window of real time (timers fire at quiescence), so the drop
-	// rate is kept low and the chaos run gets a short window.
+	// a seeded plan of silent drops.
 	{
 		const q, dropProb = 16, 0.001
 		arqCfg := resilience.ARQDefaults(cost, (*n/q)*(*n/q))
@@ -469,7 +359,6 @@ func main() {
 			os.Exit(1)
 		}
 		chaosCost := cost
-		chaosCost.WatchdogTimeout = 15 * time.Millisecond
 		chaosCost.Faults = &sim.FaultPlan{
 			Seed:  23,
 			Links: []sim.LinkFault{{Src: -1, Dst: -1, DropProb: dropProb}},
@@ -507,7 +396,7 @@ func main() {
 	}
 
 	// Chaos-campaign footprint: the seeded detector violation swept end to
-	// end on the event backend — enumeration, the structured+random corpus,
+	// end — enumeration, the structured+random corpus,
 	// invariant checks, and the ddmin shrink of the finding. Everything but
 	// the wall clock is deterministic, so cell/run/coordinate drift in review
 	// means the engine changed behavior, not the host.
@@ -551,24 +440,14 @@ func main() {
 	}
 
 	if *big {
-		// The scale demonstration: p = 16384 under sparse wiring only.
-		// Dense wiring would allocate p² = 268M queues (hundreds of GB of
-		// channel buffers) before the first simulated flop. Both runtimes
-		// run it; the comparison pins the event engine's speedup where the
-		// goroutine backend is still feasible.
-		al := algos[0]
-		rec, res := measure(al, bigPoint, sim.WiringSparse)
-		rep.Runs = append(rep.Runs, rec)
-		printRec(rec)
-		compareBackends(al, bigPoint, rec, res)
+		// The scale demonstration at p = 16384, where a dense p×p queue
+		// matrix would hold 268M queues before the first simulated flop.
+		record(measure(algos[0], bigPoint, *n, a, b))
 	}
 
 	if *huge {
-		// Beyond the goroutine backend: the event engine prices runs the
-		// per-rank-goroutine runtime cannot host in reasonable wall time.
 		// n = 512 keeps every grid size a divisor; the p = 1048576 row is
 		// the headline — a million simulated ranks on one host.
-		al := algos[0]
 		const hugeN = 512
 		ha := matrix.Random(hugeN, hugeN, 3)
 		hb := matrix.Random(hugeN, hugeN, 4)
@@ -577,9 +456,7 @@ func main() {
 			{q: 128, c: 16}, // p = 262144
 			{q: 256, c: 16}, // p = 1048576
 		} {
-			rec, _ := measureOn(al, pt, sim.WiringSparse, sim.RuntimeEvent, hugeN, ha, hb)
-			rep.Runs = append(rep.Runs, rec)
-			printRec(rec)
+			record(measure(algos[0], pt, hugeN, ha, hb))
 		}
 	}
 
@@ -605,8 +482,8 @@ func main() {
 		}
 	}
 
-	// Scaling curves on both backends: the efficiency-vs-p rows committed
-	// with the report and gated against the baseline in CI.
+	// Scaling curves: the efficiency-vs-p rows committed with the report
+	// and gated against the baseline in CI.
 	scalingOK := true
 	{
 		start := time.Now()
@@ -616,7 +493,7 @@ func main() {
 			os.Exit(1)
 		}
 		rep.ScalingCurves = curves
-		fmt.Printf("scaling curves: %d rows (both backends), wall=%.3fs\n",
+		fmt.Printf("scaling curves: %d rows, wall=%.3fs\n",
 			len(curves), time.Since(start).Seconds())
 		if *curvesOut != "" {
 			if err := analytics.WriteCurves(*curvesOut, *mach, curves); err != nil {
@@ -639,7 +516,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s (%d runs, %d comparisons)\n", *out, len(rep.Runs), len(rep.Comparisons))
+	fmt.Printf("wrote %s (%d runs)\n", *out, len(rep.Runs))
 	if !scalingOK {
 		os.Exit(1)
 	}

@@ -73,7 +73,7 @@ func TestSweepFindsShrinksAndReplays(t *testing.T) {
 	}
 
 	out, code = runCampaign(t, dir, "-replay", art)
-	if code != 0 || !strings.Contains(out, "reproduces bitwise on both backends") {
+	if code != 0 || !strings.Contains(out, "reproduces bitwise") {
 		t.Fatalf("replay exit %d:\n%s", code, out)
 	}
 

@@ -47,7 +47,6 @@ func run() int {
 		weak    = flag.Bool("weak", false, "E22: weak scaling at constant energy per flop")
 		rect    = flag.Bool("rect", false, "rectangular matmul bounds: regime map plus live SUMMA runs vs bound")
 		curves  = flag.Bool("curves", false, "measured efficiency-vs-p curves (strong + weak)")
-		runtime = flag.String("runtime", "goroutine", "simulator backend for -curves: goroutine or event")
 		csv     = flag.Bool("csv", false, "emit CSV instead of text tables")
 		mach    = flag.String("machine", "simdefault", "machine preset name or .json parameter file")
 		outPath = flag.String("o", "", "output file (default stdout)")
@@ -61,10 +60,6 @@ func run() int {
 	m, err := machine.Resolve(*mach)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if *curves && *runtime != "goroutine" && *runtime != "event" {
-		fmt.Fprintf(os.Stderr, "scaling: unknown -runtime %q\n", *runtime)
 		return 2
 	}
 
@@ -104,7 +99,7 @@ func run() int {
 		}
 	}
 	if *curves {
-		if err := runCurves(emit, m, *runtime); err != nil {
+		if err := runCurves(emit, m); err != nil {
 			fmt.Fprintln(os.Stderr, "scaling:", err)
 			code = 1
 		}
@@ -122,21 +117,12 @@ func run() int {
 
 // runCurves measures the quick strong+weak efficiency-vs-p curves on the
 // live simulator — the same sweep the CI scaling gate runs.
-func runCurves(emit func(*report.Table), m machine.Params, runtime string) error {
-	var rt sim.Runtime
-	switch runtime {
-	case "goroutine":
-		rt = sim.RuntimeGoroutine
-	case "event":
-		rt = sim.RuntimeEvent
-	default:
-		return fmt.Errorf("unknown -runtime %q", runtime)
-	}
-	rows, err := analytics.QuickCurves(m, rt)
+func runCurves(emit func(*report.Table), m machine.Params) error {
+	rows, err := analytics.QuickCurves(m)
 	if err != nil {
 		return err
 	}
-	t := report.NewTable(fmt.Sprintf("Efficiency-vs-p curves (%s runtime): measured vs closed-form prediction", runtime),
+	t := report.NewTable("Efficiency-vs-p curves: measured vs closed-form prediction",
 		"family", "algorithm", "n", "p", "c", "sim T (s)", "E (J)", "efficiency", "predicted", "E ratio", "plateau p*", "binding bound")
 	for _, r := range rows {
 		t.AddRow(r.Family, r.Algorithm, r.N, r.P, r.C, r.SimT, r.EnergyJ, r.Efficiency, r.Predicted, r.EnergyRatio,

@@ -50,11 +50,11 @@ func TestOutputFile(t *testing.T) {
 }
 
 func TestCurvesMode(t *testing.T) {
-	out, code := runScaling(t, "-curves", "-runtime", "event")
+	out, code := runScaling(t, "-curves")
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)
 	}
-	for _, want := range []string{"event runtime", "matmul-2.5d", "fft-tree", "efficiency"} {
+	for _, want := range []string{"Efficiency-vs-p curves", "matmul-2.5d", "fft-tree", "efficiency"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("curves output misses %q:\n%s", want, out)
 		}
@@ -66,7 +66,7 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		t.Fatalf("unknown machine: exit %d, want 2:\n%s", code, out)
 	}
 	if out, code := runScaling(t, "-curves", "-runtime", "nope"); code != 2 {
-		t.Fatalf("unknown runtime: exit %d, want 2:\n%s", code, out)
+		t.Fatalf("removed -runtime flag: exit %d, want 2:\n%s", code, out)
 	}
 }
 

@@ -32,7 +32,7 @@ func observedMatMul(t *testing.T, cost sim.Cost, q, c, n int) (*sim.Result, *Pha
 	if err != nil {
 		t.Fatalf("TwoPointFiveD(q=%d,c=%d,n=%d): %v", q, c, n, err)
 	}
-	meta := Meta{Algorithm: "matmul-2.5d", Runtime: cost.Runtime.String(), N: n, C: c}
+	meta := Meta{Algorithm: "matmul-2.5d", N: n, C: c}
 	return res.Sim, BuildProfile(testMachine(), res.Sim, col, meta)
 }
 
@@ -181,7 +181,7 @@ func phaseDiffByName(r *DiffReport, name string) PhaseDiff {
 }
 
 func TestStrongMatMulCurve(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine(), Runtime: sim.RuntimeGoroutine}
+	sc := SweepConfig{Machine: testMachine()}
 	rows, err := StrongMatMulCurve(sc, 96, 4, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestStrongMatMulCurve(t *testing.T) {
 }
 
 func TestRectSUMMACurve(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine(), Runtime: sim.RuntimeGoroutine}
+	sc := SweepConfig{Machine: testMachine()}
 	rows, err := RectSUMMACurve(sc, 48, 16, 32, 4, [][2]int{{1, 2}, {2, 2}, {2, 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestDiffWallAnnotation(t *testing.T) {
 }
 
 func TestWeakCurves(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine(), Runtime: sim.RuntimeGoroutine}
+	sc := SweepConfig{Machine: testMachine()}
 	rows, err := WeakMatMulCurve(sc, 16, []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func hasRegression(regs []Regression, key, field string) bool {
 }
 
 func TestCurveFileRoundTrip(t *testing.T) {
-	sc := SweepConfig{Machine: testMachine(), Runtime: sim.RuntimeGoroutine}
+	sc := SweepConfig{Machine: testMachine()}
 	rows, err := StrongMatMulCurve(sc, 48, 2, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -431,18 +431,18 @@ func TestCurveFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPhaseProfileBackendIdentity pins the satellite requirement: per-phase
-// energy attribution for a fault-injected 2.5D run is bit-identical between
-// the goroutine and event backends. The fault plan preserves message
+// TestPhaseProfileBackendIdentity pins per-phase energy attribution for a
+// fault-injected 2.5D run bit-identical across the engine's schedules: one
+// worker against the default pool. The fault plan preserves message
 // streams (corruption + a degraded-link window, no drops), so the run
-// completes on both backends and every virtual-time quantity must agree
-// exactly — including each phase's δe·M·span and εe·span slices.
+// completes and every virtual-time quantity must agree exactly —
+// including each phase's δe·M·span and εe·span slices.
 func TestPhaseProfileBackendIdentity(t *testing.T) {
 	m := testMachine()
-	run := func(rt sim.Runtime) *PhaseProfile {
+	run := func(workers int) *PhaseProfile {
 		cost := sim.Cost{
 			GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
-			Runtime: rt,
+			Workers: workers,
 			Faults: &sim.FaultPlan{
 				Seed: 99,
 				Links: []sim.LinkFault{
@@ -454,15 +454,14 @@ func TestPhaseProfileBackendIdentity(t *testing.T) {
 			},
 		}
 		_, prof := observedMatMul(t, cost, 4, 2, 64)
-		prof.Runtime = "" // the one legitimately differing field
 		return prof
 	}
-	g := run(sim.RuntimeGoroutine)
-	e := run(sim.RuntimeEvent)
-	if !reflect.DeepEqual(g, e) {
-		t.Fatalf("phase profiles differ across backends:\ngoroutine: %+v\nevent:     %+v", g, e)
+	one := run(1)
+	pool := run(0)
+	if !reflect.DeepEqual(one, pool) {
+		t.Fatalf("phase profiles differ across schedules:\none worker: %+v\npool:       %+v", one, pool)
 	}
-	for _, ps := range g.Phases {
+	for _, ps := range one.Phases {
 		if ps.Energy.Total() < 0 {
 			t.Fatalf("negative phase energy: %+v", ps)
 		}

@@ -122,7 +122,6 @@ func (ps PhaseStats) TimeShare(total float64) float64 {
 type PhaseProfile struct {
 	// Meta identifies the run the profile describes.
 	Algorithm string `json:"algorithm"`
-	Runtime   string `json:"runtime,omitempty"`
 	Machine   string `json:"machine"`
 	N         int    `json:"n,omitempty"`
 	P         int    `json:"p"`
@@ -146,7 +145,6 @@ func (p *PhaseProfile) Phase(name string) *PhaseStats {
 // Meta carries run identification into BuildProfile.
 type Meta struct {
 	Algorithm string
-	Runtime   string
 	N         int
 	C         int
 }
@@ -174,7 +172,6 @@ func BuildProfile(m machine.Params, res *sim.Result, col *obs.Collector, meta Me
 	p := len(res.PerRank)
 	prof := &PhaseProfile{
 		Algorithm: meta.Algorithm,
-		Runtime:   meta.Runtime,
 		Machine:   m.Name,
 		N:         meta.N,
 		P:         p,
@@ -320,8 +317,8 @@ func BuildProfile(m machine.Params, res *sim.Result, col *obs.Collector, meta Me
 
 // WriteText renders the profile as an aligned table, one row per phase.
 func (p *PhaseProfile) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%s p=%d n=%d runtime=%s machine=%s  T=%.6g s  E=%.6g J\n",
-		p.Algorithm, p.P, p.N, p.Runtime, p.Machine, p.T, p.Energy.Total()); err != nil {
+	if _, err := fmt.Fprintf(w, "%s p=%d n=%d machine=%s  T=%.6g s  E=%.6g J\n",
+		p.Algorithm, p.P, p.N, p.Machine, p.T, p.Energy.Total()); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%-16s %5s %12s %7s %7s %12s %12s %12s %12s\n",

@@ -40,7 +40,7 @@ func checkOutcome(class Class, clean, out *Outcome, b bands) []Violation {
 			add("completes", fmt.Sprintf("maskable plan killed the run: %s: %s", out.ErrorKind, out.Error))
 		case ClassGraceful:
 			// A graceful plan may kill the run, but only with a typed
-			// verdict; a watchdog wedge or an untyped error is a bug.
+			// verdict; a deadlock wedge or an untyped error is a bug.
 			if out.ErrorKind != "peer-failure" && out.ErrorKind != "crash" {
 				add("no-wedge", fmt.Sprintf("graceful plan ended untyped: %s: %s", out.ErrorKind, out.Error))
 			}

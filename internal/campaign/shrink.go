@@ -16,7 +16,6 @@ import (
 type shrinker struct {
 	ctx    context.Context
 	t      Target
-	rt     sim.Runtime
 	class  Class
 	clean  *Outcome
 	b      bands
@@ -42,12 +41,12 @@ func (s *shrinker) fails(p *sim.FaultPlan) bool {
 	}
 	s.budget -= need
 	s.runs += need
-	out, err := s.t.Run(s.ctx, s.rt, p)
+	out, err := s.t.Run(s.ctx, p)
 	if err != nil || out.ErrorKind == "cancelled" {
 		return false
 	}
 	if s.inv == "replay" {
-		again, err := s.t.Run(s.ctx, s.rt, p)
+		again, err := s.t.Run(s.ctx, p)
 		if err != nil || again.ErrorKind == "cancelled" {
 			return false
 		}

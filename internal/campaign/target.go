@@ -5,7 +5,7 @@
 // sweeps seeded randomized and structured fault plans through the
 // sim/resilience/ARQ stack, checks a pluggable invariant set against the
 // clean baseline (bit-identical numerics, overhead bands, communication
-// lower-bound floors, no watchdog wedge, replay determinism), and
+// lower-bound floors, no deadlock wedge, replay determinism), and
 // delta-debugs every violating plan down to a minimal reproducer emitted
 // as a self-contained JSON artifact. Campaign progress checkpoints to a
 // serializable State, so an interrupted multi-hour campaign resumes
@@ -23,7 +23,6 @@ import (
 	"hash/fnv"
 	"math"
 	"strings"
-	"time"
 
 	"perfscale/internal/bounds"
 	"perfscale/internal/core"
@@ -122,17 +121,17 @@ func (t Target) arqConfig(cost sim.Cost) resilience.ARQConfig {
 
 // Outcome is the deterministic summary of one target run under one fault
 // plan: digests instead of payloads, typed-error classification instead of
-// full diagnostics, no wall-clock anywhere. Two runs of the same plan on
-// either backend must produce identical Outcomes — that is the replay
-// invariant, and what artifact verification compares bitwise.
+// full diagnostics, no wall-clock anywhere. Two runs of the same plan must
+// produce identical Outcomes — that is the replay invariant, and what
+// artifact verification compares bitwise.
 type Outcome struct {
 	Completed bool `json:"completed"`
 	// ErrorKind classifies a failed run: "peer-failure", "crash",
 	// "deadlock", "cancelled" or "other".
 	ErrorKind string `json:"error_kind,omitempty"`
 	// Error is the primary typed error's text (virtual quantities only).
-	// Deadlock diagnostics embed real-time state, so for "deadlock" the
-	// kind alone is recorded.
+	// Deadlock diagnostics embed a whole-cluster wait graph, so for
+	// "deadlock" the kind alone is recorded.
 	Error string `json:"error,omitempty"`
 	// OutputDigest and StatsDigest are FNV-1a hashes of the assembled
 	// product's bits and of every rank's Stats + ARQ counters.
@@ -157,31 +156,24 @@ func (o *Outcome) identical(b *Outcome) (string, bool) {
 	return fmt.Sprintf("got %+v, want %+v", *o, *b), false
 }
 
-// chaosWatchdog keeps goroutine-backend chaos runs fast: virtual timers
-// fire at real-time quiescence, and each recovered drop burns about one
-// window. The event backend detects quiescence exactly and ignores it.
-const chaosWatchdog = 15 * time.Millisecond
-
 // Run executes the target once under the given fault plan (nil for the
-// clean baseline) on the chosen backend and summarizes the result. The
+// clean baseline) and summarizes the result. The
 // returned error is a harness failure (unresolvable machine, invalid
 // target); every way the run itself can end — including typed failures —
 // is an Outcome.
-func (t Target) Run(ctx context.Context, rt sim.Runtime, plan *sim.FaultPlan, obs ...sim.Observer) (*Outcome, error) {
+func (t Target) Run(ctx context.Context, plan *sim.FaultPlan, obs ...sim.Observer) (*Outcome, error) {
 	m, err := t.params()
 	if err != nil {
 		return nil, err
 	}
 	cost := sim.Cost{
-		GammaT:          m.GammaT,
-		BetaT:           m.BetaT,
-		AlphaT:          m.AlphaT,
-		MaxMsgWords:     int(m.MaxMsgWords),
-		Runtime:         rt,
-		Faults:          plan,
-		Observers:       obs,
-		WatchdogTimeout: chaosWatchdog,
-		Context:         ctx,
+		GammaT:      m.GammaT,
+		BetaT:       m.BetaT,
+		AlphaT:      m.AlphaT,
+		MaxMsgWords: int(m.MaxMsgWords),
+		Faults:      plan,
+		Observers:   obs,
+		Context:     ctx,
 	}
 	a := matrix.Random(t.N, t.N, 41)
 	b := matrix.Random(t.N, t.N, 42)

@@ -254,22 +254,33 @@ func FFTEnergyClosedForm(m machine.Params, n, p float64) float64 {
 
 // --- Validation helpers -----------------------------------------------------
 
+// rangeSlack is the relative tolerance on the replication-range endpoints,
+// absorbing rounding in callers that derive M from n and p.
+const rangeSlack = 1e-12
+
+// inRange reports lo ≤ mem ≤ hi with the slack on the bounds, not on mem:
+// at p = 1 the range collapses to the single point lo = hi, which a slack
+// applied to mem could never hit.
+func inRange(mem, lo, hi float64) bool {
+	return mem >= lo*(1-rangeSlack) && mem <= hi*(1+rangeSlack)
+}
+
 // CheckMatMulRange returns an error when (p, M) lies outside the classical
 // matmul replication range n²/p ≤ M ≤ n²/p^(2/3) (within slack for rounding).
 func CheckMatMulRange(n, p, mem float64) error {
-	if !bounds.InMatMulScalingRange(n, p, mem*(1+1e-12)) && !bounds.InMatMulScalingRange(n, p, mem*(1-1e-12)) {
-		return fmt.Errorf("core: M=%g outside matmul range [%g, %g] for n=%g p=%g",
-			mem, n*n/p, n*n/math.Pow(p, 2.0/3.0), n, p)
+	lo, hi := n*n/p, n*n/math.Pow(p, 2.0/3.0)
+	if !inRange(mem, lo, hi) {
+		return fmt.Errorf("core: M=%g outside matmul range [%g, %g] for n=%g p=%g", mem, lo, hi, n, p)
 	}
 	return nil
 }
 
 // CheckNBodyRange returns an error when (p, M) lies outside the n-body
-// replication range n/p ≤ M ≤ n/√p.
+// replication range n/p ≤ M ≤ n/√p (within slack for rounding).
 func CheckNBodyRange(n, p, mem float64) error {
-	if !bounds.InNBodyScalingRange(n, p, mem*(1+1e-12)) && !bounds.InNBodyScalingRange(n, p, mem*(1-1e-12)) {
-		return fmt.Errorf("core: M=%g outside n-body range [%g, %g] for n=%g p=%g",
-			mem, n/p, n/math.Sqrt(p), n, p)
+	lo, hi := n/p, n/math.Sqrt(p)
+	if !inRange(mem, lo, hi) {
+		return fmt.Errorf("core: M=%g outside n-body range [%g, %g] for n=%g p=%g", mem, lo, hi, n, p)
 	}
 	return nil
 }

@@ -271,6 +271,30 @@ func TestRangeChecks(t *testing.T) {
 	}
 }
 
+// TestRangeChecksSingleProcessor pins the p = 1 edge: the replication range
+// collapses to the single point M = n² (n-body: M = n), which must be
+// accepted — exactly and within rounding — while anything off the point by
+// more than the slack is still rejected.
+func TestRangeChecksSingleProcessor(t *testing.T) {
+	const n = 4096.0
+	for _, mem := range []float64{n * n, n * n * (1 + 1e-13), n * n * (1 - 1e-13)} {
+		if err := CheckMatMulRange(n, 1, mem); err != nil {
+			t.Errorf("matmul p=1 M=%v: %v", mem, err)
+		}
+	}
+	for _, mem := range []float64{n * n * (1 + 1e-9), n * n * (1 - 1e-9)} {
+		if err := CheckMatMulRange(n, 1, mem); err == nil {
+			t.Errorf("matmul p=1 M=%v off the single range point should fail", mem)
+		}
+	}
+	if err := CheckNBodyRange(n, 1, n); err != nil {
+		t.Errorf("n-body p=1 M=n: %v", err)
+	}
+	if err := CheckNBodyRange(n, 1, 2*n); err == nil {
+		t.Error("n-body p=1 M=2n should fail")
+	}
+}
+
 // Property: for random machines and configurations, Eval's closed-form and
 // generic paths agree for matmul and n-body.
 func TestClosedFormsAgreeProperty(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"perfscale/internal/matrix"
+	"perfscale/internal/obs"
 	"perfscale/internal/sim"
 )
 
@@ -95,8 +96,9 @@ func TestSUMMARectPanelWidthTradeoff(t *testing.T) {
 }
 
 func TestSUMMARectBackendIdentity(t *testing.T) {
-	// The event engine must be a perfect stand-in for the goroutine
-	// runtime on rectangular shapes and non-square grids: every per-rank
+	// The engine's two collective backends — fast-forwarded conducts and
+	// the event-by-event slow path an attached observer forces — must agree
+	// on rectangular shapes and non-square grids: every per-rank
 	// counter — flops, words, messages, peak memory, and all four clock
 	// decompositions — bit-identical, and the product matrix too. Priced
 	// with nonzero α/β/γ and fragmented messages so the time counters are
@@ -110,16 +112,15 @@ func TestSUMMARectBackendIdentity(t *testing.T) {
 	} {
 		a := matrix.Random(tc.m, tc.k, int64(3*tc.m+tc.k))
 		b := matrix.Random(tc.k, tc.n, int64(3*tc.k+tc.n))
-		gCost, eCost := cost, cost
-		gCost.Runtime = sim.RuntimeGoroutine
-		eCost.Runtime = sim.RuntimeEvent
-		g, err := SUMMARect(gCost, tc.pr, tc.pc, tc.panel, a, b)
+		slowCost := cost
+		slowCost.Observers = []sim.Observer{obs.NewRingBuffer(64)}
+		g, err := SUMMARect(cost, tc.pr, tc.pc, tc.panel, a, b)
 		if err != nil {
-			t.Fatalf("%+v goroutine: %v", tc, err)
+			t.Fatalf("%+v fast-forward: %v", tc, err)
 		}
-		e, err := SUMMARect(eCost, tc.pr, tc.pc, tc.panel, a, b)
+		e, err := SUMMARect(slowCost, tc.pr, tc.pc, tc.panel, a, b)
 		if err != nil {
-			t.Fatalf("%+v event: %v", tc, err)
+			t.Fatalf("%+v slow path: %v", tc, err)
 		}
 		if d := g.C.MaxAbsDiff(e.C); d != 0 {
 			t.Errorf("%+v: backends disagree on C, max diff %g", tc, d)
@@ -127,7 +128,7 @@ func TestSUMMARectBackendIdentity(t *testing.T) {
 		perRankF := 2.0 * float64(tc.m*tc.k*tc.n) / float64(tc.pr*tc.pc)
 		for id := range g.Sim.PerRank {
 			if g.Sim.PerRank[id] != e.Sim.PerRank[id] {
-				t.Errorf("%+v rank %d stats differ:\n  goroutine %+v\n  event     %+v",
+				t.Errorf("%+v rank %d stats differ:\n  fast-forward %+v\n  slow path    %+v",
 					tc, id, g.Sim.PerRank[id], e.Sim.PerRank[id])
 			}
 			if f := g.Sim.PerRank[id].Flops; f != perRankF {
@@ -139,7 +140,8 @@ func TestSUMMARectBackendIdentity(t *testing.T) {
 
 func TestSUMMARectPerRankCounterPins(t *testing.T) {
 	// Exact per-rank counter values at a rectangular shape, derived by hand
-	// from the collective algorithms, checked on both backends.
+	// from the collective algorithms, checked on both collective backends
+	// (fast-forwarded, and event by event under an observer).
 	//
 	// m=12 k=8 n=16 on a 2×2 grid with panel=2: rowsPer=6, colsPer=8,
 	// aColsPer=bRowsPer=4, and k/panel = 4 broadcast steps. Every row and
@@ -163,23 +165,29 @@ func TestSUMMARectPerRankCounterPins(t *testing.T) {
 	)
 	a := matrix.Random(m, k, 11)
 	b := matrix.Random(k, n, 12)
-	for _, rt := range []sim.Runtime{sim.RuntimeGoroutine, sim.RuntimeEvent} {
-		res, err := SUMMARect(sim.Cost{Runtime: rt}, pr, pc, panel, a, b)
+	for _, rt := range []struct {
+		name string
+		cost sim.Cost
+	}{
+		{"fast-forward", sim.Cost{}},
+		{"slow path", sim.Cost{Observers: []sim.Observer{obs.NewRingBuffer(64)}}},
+	} {
+		res, err := SUMMARect(rt.cost, pr, pc, panel, a, b)
 		if err != nil {
-			t.Fatalf("%v: %v", rt, err)
+			t.Fatalf("%s: %v", rt.name, err)
 		}
 		for id, s := range res.Sim.PerRank {
 			if s.Flops != wantF {
-				t.Errorf("%v rank %d: flops %g, want %g", rt, id, s.Flops, wantF)
+				t.Errorf("%s rank %d: flops %g, want %g", rt.name, id, s.Flops, wantF)
 			}
 			if s.WordsSent != wantW || s.WordsRecv != wantW {
-				t.Errorf("%v rank %d: words sent/recv %g/%g, want %g each", rt, id, s.WordsSent, s.WordsRecv, wantW)
+				t.Errorf("%s rank %d: words sent/recv %g/%g, want %g each", rt.name, id, s.WordsSent, s.WordsRecv, wantW)
 			}
 			if s.MsgsSent != wantS || s.MsgsRecv != wantS {
-				t.Errorf("%v rank %d: msgs sent/recv %g/%g, want %g each", rt, id, s.MsgsSent, s.MsgsRecv, wantS)
+				t.Errorf("%s rank %d: msgs sent/recv %g/%g, want %g each", rt.name, id, s.MsgsSent, s.MsgsRecv, wantS)
 			}
 			if s.PeakMemWords != wantM {
-				t.Errorf("%v rank %d: peak mem %g, want %g", rt, id, s.PeakMemWords, wantM)
+				t.Errorf("%s rank %d: peak mem %g, want %g", rt.name, id, s.PeakMemWords, wantM)
 			}
 		}
 	}

@@ -133,7 +133,7 @@ func deadlockEvent(ev sim.DeadlockEvent) Event {
 // Collector subscribes to a run and keeps every event, bucketed per rank.
 // Rank-goroutine callbacks append to their own rank's slice without locks
 // (the bus guarantees per-rank callbacks are single-goroutine); only the
-// watchdog-sourced deadlock events need a mutex. Memory is O(events) —
+// engine-sourced deadlock events need a mutex. Memory is O(events) —
 // use RingBuffer when that is too much at large p.
 //
 // Read a Collector only after sim.Run has returned.
@@ -186,9 +186,9 @@ func (c *Collector) OnTimer(ev sim.TimerEvent) {
 	c.perRank[ev.Rank] = append(c.perRank[ev.Rank], timerEvent(ev))
 }
 
-// OnDeadlock implements sim.Observer. It fires on the watchdog goroutine,
-// so the events go to a mutex-protected list instead of the per-rank
-// buckets (which the rank goroutines still own at that moment).
+// OnDeadlock implements sim.Observer. The engine fires it while resolving
+// a quiescence, on whichever goroutine last parked, so the events go to a
+// mutex-protected list instead of the per-rank buckets.
 func (c *Collector) OnDeadlock(ev sim.DeadlockEvent) {
 	c.mu.Lock()
 	c.deadlocks = append(c.deadlocks, ev)
@@ -201,7 +201,7 @@ func (c *Collector) P() int { return len(c.perRank) }
 // Rank returns one rank's events in virtual-time order.
 func (c *Collector) Rank(rank int) []Event { return c.perRank[rank] }
 
-// Deadlocks returns the watchdog aborts observed, one per aborted rank.
+// Deadlocks returns the deadlock aborts observed, one per aborted rank.
 func (c *Collector) Deadlocks() []sim.DeadlockEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()

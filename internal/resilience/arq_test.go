@@ -3,20 +3,14 @@ package resilience_test
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"perfscale/internal/resilience"
 	"perfscale/internal/sim"
 )
 
-// arqCost gives runs a virtual clock and a fast watchdog window; ARQ
-// timeouts fire at quiescence, so every masked drop costs about one window
-// of real time.
+// arqCost gives runs a virtual clock; ARQ timeouts fire at quiescence.
 func arqCost() sim.Cost {
-	return sim.Cost{
-		GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6,
-		WatchdogTimeout: 40 * time.Millisecond,
-	}
+	return sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6}
 }
 
 func TestARQDeliversInOrder(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 //
 // The protocol is timer-free — virtual time has no timeouts — so it cannot
 // retransmit a packet the network silently dropped: both ends stay blocked
-// and the runtime watchdog reports the hang as a DeadlockError. It
+// and the runtime reports the hang as a DeadlockError. It
 // converges as long as the corruption probability on a link is below one
 // (every retransmission rolls fresh deterministic dice).
 //

@@ -29,7 +29,7 @@ func (r *SUMMAARQResult) Report() ARQStats {
 // entirely over the timer-aware ARQ endpoint: every panel broadcast is a
 // binomial tree of acknowledged, retransmit-on-timeout transfers. Unlike
 // the raw-channel SUMMA — where a single silently dropped message hangs
-// the run until the watchdog aborts it — a SUMMAARQ run under a lossy
+// the run until the deadlock verdict aborts it — a SUMMAARQ run under a lossy
 // sim.FaultPlan completes, bit-identical to its fault-free self, with the
 // retransmission and timeout costs priced into the normal counters.
 //

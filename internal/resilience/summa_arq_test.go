@@ -2,7 +2,6 @@ package resilience_test
 
 import (
 	"testing"
-	"time"
 
 	"perfscale/internal/matmul"
 	"perfscale/internal/matrix"
@@ -37,10 +36,7 @@ func TestSUMMAARQMasksChaosDeterministically(t *testing.T) {
 	const q, n = 8, 64
 	a := matrix.Random(n, n, 3)
 	b := matrix.Random(n, n, 4)
-	cost := sim.Cost{
-		GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6,
-		WatchdogTimeout: 10 * time.Millisecond,
-	}
+	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6}
 	cfg := resilience.ARQDefaults(cost, (n/q)*(n/q))
 
 	clean, err := resilience.SUMMAARQ(cost, q, cfg, a, b)

@@ -97,6 +97,27 @@ func TestPriceAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestPriceSingleProcessor pins the p = 1 edge of the replication ranges:
+// the range is the single point M = n² (n-body: M = n), and the default M
+// lands exactly on it, so these queries must price, not 400.
+func TestPriceSingleProcessor(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, q := range []string{
+		"alg=matmul&n=4096&p=1",
+		"alg=lu&n=4096&p=1",
+		"alg=nbody&n=100000&p=1",
+	} {
+		code, body, _ := get(t, ts.URL+"/price?"+q)
+		if code != 200 {
+			t.Errorf("price?%s = %d %v, want 200", q, code, body)
+			continue
+		}
+		if v, _ := body["total_energy_j"].(float64); !(v > 0) {
+			t.Errorf("price?%s total_energy_j = %v", q, body["total_energy_j"])
+		}
+	}
+}
+
 func TestPriceBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for _, tc := range []struct{ q, wantCode string }{
@@ -165,43 +186,34 @@ func TestSimulateSummary(t *testing.T) {
 	}
 }
 
-// TestSimulateRuntimeParam drives /simulate through both simulator
-// backends: ?runtime=event must answer with the same virtual time and
-// energy as the goroutine default (the backends are pinned bitwise by the
-// conformance suite), occupy its own cache entry, and reject unknown
-// runtime names with a 400.
+// TestSimulateRuntimeParam pins the removal of the runtime parameter: the
+// simulator has one engine, so /simulate no longer takes ?runtime=. A
+// stale client still sending it is answered like any request carrying an
+// unrecognised parameter — the parameter is ignored — so ?runtime=goroutine
+// hits the very cache entry of the plain request and returns the same
+// numbers, and the response no longer carries a runtime field.
 func TestSimulateRuntimeParam(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	code, gor, hdr := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1")
+	code, plain, _ := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1")
 	if code != 200 {
-		t.Fatalf("goroutine simulate = %d %v", code, gor)
+		t.Fatalf("simulate = %d %v", code, plain)
 	}
-	if gor["runtime"] != "goroutine" {
-		t.Errorf("default runtime = %v, want goroutine", gor["runtime"])
+	if _, ok := plain["runtime"]; ok {
+		t.Errorf("response still carries a runtime field: %v", plain["runtime"])
 	}
-	_ = hdr
-
-	code, ev, hdr := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1&runtime=event")
-	if code != 200 {
-		t.Fatalf("event simulate = %d %v", code, ev)
-	}
-	if ev["runtime"] != "event" {
-		t.Errorf("event runtime = %v", ev["runtime"])
-	}
-	// A distinct backend is a distinct canonical tuple: the event request
-	// must not replay the goroutine run from the cache.
-	if hdr.Get("X-Cache") != "miss" {
-		t.Errorf("event request X-Cache = %q, want miss", hdr.Get("X-Cache"))
-	}
-	for _, field := range []string{"sim_time_s", "total_energy_j", "active_pairs"} {
-		if ev[field] != gor[field] {
-			t.Errorf("%s differs across backends: event %v vs goroutine %v", field, ev[field], gor[field])
+	for _, rt := range []string{"goroutine", "event", "fibers"} {
+		code, body, hdr := get(t, ts.URL+"/simulate?alg=matmul25d&n=64&q=4&c=1&runtime="+rt)
+		if code != 200 {
+			t.Fatalf("runtime=%s: simulate = %d %v", rt, code, body)
 		}
-	}
-
-	code, body, _ := get(t, ts.URL+"/simulate?n=64&q=4&runtime=fibers")
-	if code != 400 || body["error"] != "bad_request" {
-		t.Errorf("bad runtime = %d %v, want 400 bad_request", code, body)
+		if hdr.Get("X-Cache") != "hit" {
+			t.Errorf("runtime=%s: X-Cache = %q, want hit (same canonical tuple)", rt, hdr.Get("X-Cache"))
+		}
+		for _, field := range []string{"sim_time_s", "total_energy_j", "active_pairs"} {
+			if body[field] != plain[field] {
+				t.Errorf("runtime=%s: %s = %v, want %v", rt, field, body[field], plain[field])
+			}
+		}
 	}
 }
 

@@ -7,26 +7,32 @@ import (
 
 // Real-time cancellation.
 //
-// A simulated run is CPU-bound real work: p goroutines executing the SPMD
-// program. When the caller abandons the run — an HTTP client hangs up, a
-// deadline expires, a sweep is interrupted — the goroutines must actually
-// stop, not keep burning cycles into a result nobody will read. Cost.Context
-// threads a context.Context into the rank runtime for exactly that:
+// A simulated run is CPU-bound real work. When the caller abandons the run
+// — an HTTP client hangs up, a deadline expires, a sweep is interrupted —
+// the ranks must actually stop, not keep burning cycles into a result
+// nobody will read. Cost.Context threads a context.Context into the engine
+// for exactly that:
 //
 //   - every instrumented operation (Compute, Send, Recv, SendRecv,
 //     RecvTimeout, SendTimeout) checks a cancellation flag on entry, so a
 //     rank in a compute loop aborts at its next op;
-//   - every blocking select (a full pair buffer, an empty receive queue, a
-//     timed operation) also waits on the cluster's cancel channel, so a
-//     blocked rank is released immediately rather than at its next op.
+//   - every parked rank is woken with a cancel reason, so a rank waiting
+//     on a peer that is still computing is released at once.
 //
-// Cancellation is a real-time abort path like the watchdog's: it unwinds
-// each rank with a panic recovered by Run, never rewrites virtual clocks,
-// and leaves the partial per-rank Stats in the Result. Run collapses the
-// per-rank aborts into one error wrapping context.Cause(ctx), so
-// errors.Is(err, context.Canceled) / context.DeadlineExceeded tells the
-// caller why the run ended. A run without a context pays one nil check per
-// op and a never-ready nil channel arm per blocking select.
+// The contract with the virtual-time verdicts is that they resolve first.
+// The engine detects quiescence exactly and immediately, so a run that can
+// make no further progress — a mutual Recv, a timed receive whose peer
+// never sends — reaches its deadlock verdict or timer fire as soon as it
+// gets there, with no real-time window in which a cancel could overtake
+// it. Cancellation therefore only ever aborts runs that are still making
+// progress.
+//
+// Cancellation unwinds each rank with a panic recovered by Run, never
+// rewrites virtual clocks, and leaves the partial per-rank Stats in the
+// Result. Run collapses the per-rank aborts into one error wrapping
+// context.Cause(ctx), so errors.Is(err, context.Canceled) /
+// context.DeadlineExceeded tells the caller why the run ended. A run
+// without a context pays one atomic load per op.
 
 // cancelPanic unwinds a rank whose run context was cancelled; Run recovers
 // it and records a *CancelledError for the rank.
@@ -60,23 +66,16 @@ func RunContext(ctx context.Context, p int, cost Cost, fn func(r *Rank) error) (
 }
 
 // cancelCheck aborts the rank if the run context has been cancelled. It is
-// called (via crashCheck) on entry to every instrumented operation: one
-// atomic load on the hot path, nothing when the run has no context.
+// called (via crashCheck) on entry to every instrumented operation.
 func (r *Rank) cancelCheck() {
-	if r.cluster.cancelCh != nil && r.cluster.cancelled.Load() {
+	if r.cluster.cancelled.Load() {
 		panic(cancelPanic{})
 	}
 }
 
-// watchContext propagates ctx's cancellation to the cluster: it writes the
-// cause, sets the flag (release-ordered before the channel close) and closes
-// cancelCh, waking every blocked rank. The watcher exits when the run ends.
-func (c *Cluster) watchContext(ctx context.Context, done <-chan struct{}) {
-	select {
-	case <-ctx.Done():
-		c.cancelCause = context.Cause(ctx)
-		c.cancelled.Store(true)
-		close(c.cancelCh)
-	case <-done:
-	}
+// markCancelled records ctx's cause and raises the cancellation flag; the
+// flag store orders the cause write before any rank that observes it.
+func (c *Cluster) markCancelled(ctx context.Context) {
+	c.cancelCause = context.Cause(ctx)
+	c.cancelled.Store(true)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -62,50 +63,94 @@ func TestCancelStopsComputeLoop(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestCancelReleasesBlockedRecv cancels a run where every rank is blocked in
-// Recv on a message that will never come, with the watchdog DISABLED, so
-// only the cancellation path can release them.
+// TestCancelReleasesBlockedRecv pins the cancellation contract for a run
+// that can make no further progress: virtual-time verdicts resolve first.
+// Every rank blocks in a mutual Recv, so the engine reaches quiescence at
+// once and the run ends in a DeadlockError — a cancel arriving 20 ms later
+// finds nothing left to abort.
 func TestCancelReleasesBlockedRecv(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunContext(ctx, 2, Cost{WatchdogTimeout: -1}, func(r *Rank) error {
-			r.Recv((r.ID() + 1) % r.P()) // mutual recv: a hard deadlock
-			return nil
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("errors.Is(err, context.Canceled) = false, err = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not release ranks blocked in Recv")
+	_, err := RunContext(ctx, 2, Cost{}, func(r *Rank) error {
+		r.Recv((r.ID() + 1) % r.P()) // mutual recv: a hard deadlock
+		return nil
+	})
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("mutual Recv under a context: want DeadlockError, got %v", err)
+	}
+	if errors.Is(err, context.Canceled) {
+		t.Errorf("deadlock verdict reported as cancellation: %v", err)
 	}
 	waitGoroutines(t, base)
 }
 
-// TestCancelReleasesBlockedTimedRecv covers the RecvTimeout blocking select:
-// a huge virtual timeout with the watchdog disabled blocks forever unless
-// cancellation wakes it.
+// TestCancelReleasesBlockedTimedRecv pins the same contract for timers:
+// two ranks in a mutual RecvTimeout with a huge virtual timeout go
+// quiescent at once, so the timers fire and the run completes cleanly in
+// virtual time, untouched by the later cancel. Rank 0's timer fires first
+// (ties go to the lower id); its reply is stamped at the deadline, so it
+// cannot beat rank 1's timer either.
 func TestCancelReleasesBlockedTimedRecv(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	const timeout = 1e12
+	res, err := RunContext(ctx, 2, Cost{}, func(r *Rank) error {
+		peer := 1 - r.ID()
+		if _, out := r.RecvTimeout(peer, timeout); out != RecvTimedOut {
+			return fmt.Errorf("rank %d: RecvTimeout = %v, want %v", r.ID(), out, RecvTimedOut)
+		}
+		r.Send(peer, []float64{1})
+		r.Recv(peer)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("mutual RecvTimeout under a context: want the timers to fire, got %v", err)
+	}
+	for id, s := range res.PerRank {
+		if s.Time != timeout || s.WaitTime != timeout {
+			t.Errorf("rank %d: clock %g wait %g, want both at the %g deadline", id, s.Time, s.WaitTime, float64(timeout))
+		}
+	}
+	waitGoroutines(t, base)
+}
+
+// TestCancelAbortsEndlessPingPong is the other half of the contract:
+// cancellation aborts runs that are still making progress. Two ranks
+// ping-pong forever — never quiescent, so no virtual-time verdict can end
+// the run — until the context is cancelled 20 ms in.
+func TestCancelAbortsEndlessPingPong(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunContext(ctx, 2, Cost{WatchdogTimeout: -1}, func(r *Rank) error {
-			r.RecvTimeout((r.ID()+1)%r.P(), 1e12)
-			return nil
+		_, err := RunContext(ctx, 2, Cost{AlphaT: 1e-6, BetaT: 1e-9}, func(r *Rank) error {
+			peer := 1 - r.ID()
+			msg := []float64{1}
+			for {
+				if r.ID() == 0 {
+					r.Send(peer, msg)
+					msg = r.Recv(peer)
+				} else {
+					msg = r.Recv(peer)
+					r.Send(peer, msg)
+				}
+			}
 		})
 		done <- err
 	}()
@@ -115,7 +160,7 @@ func TestCancelReleasesBlockedTimedRecv(t *testing.T) {
 			t.Fatalf("errors.Is(err, context.Canceled) = false, err = %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not release ranks blocked in RecvTimeout")
+		t.Fatal("cancellation did not stop the ping-pong run")
 	}
 	waitGoroutines(t, base)
 }
@@ -131,7 +176,7 @@ func TestCancelReleasesBlockedSend(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunContext(ctx, 2, Cost{ChanCap: 1, WatchdogTimeout: -1}, func(r *Rank) error {
+		_, err := RunContext(ctx, 2, Cost{ChanCap: 1}, func(r *Rank) error {
 			if r.ID() == 0 {
 				for i := 0; i < 100; i++ {
 					r.Send(1, []float64{1})
@@ -204,7 +249,7 @@ func TestCancelRealErrorTakesPrecedence(t *testing.T) {
 		cancel()
 	}()
 	var fc chan struct{} = failed
-	_, err := RunContext(ctx, 2, Cost{WatchdogTimeout: -1}, func(r *Rank) error {
+	_, err := RunContext(ctx, 2, Cost{}, func(r *Rank) error {
 		if r.ID() == 0 {
 			if fc != nil {
 				close(fc)
@@ -222,7 +267,7 @@ func TestCancelRealErrorTakesPrecedence(t *testing.T) {
 }
 
 // TestNoContextUnaffected pins the zero-cost path: a run without a context
-// has a nil cancel channel and must behave exactly as before.
+// never arms a cancel watcher and must behave exactly as before.
 func TestNoContextUnaffected(t *testing.T) {
 	res, err := Run(2, Cost{}, func(r *Rank) error {
 		if r.ID() == 0 {

@@ -188,10 +188,10 @@ func (c *Comm) membKey() ffMemb {
 }
 
 // ffEngine returns the event engine when this run fast-forwards
-// collectives, nil otherwise (goroutine backend, or the engine's slow
-// path when faults/observers/cancellation need event-by-event execution).
+// collectives, nil when faults/observers/cancellation need event-by-event
+// execution.
 func (c *Comm) ffEngine() *eventEngine {
-	if e := c.rank.cluster.eng; e != nil && e.ffOK {
+	if e := c.rank.cluster.eng; e.ffOK {
 		return e
 	}
 	return nil
@@ -230,16 +230,12 @@ func (e *eventEngine) ffRun(c *Comm, op uint8, data []float64, arg int, rop Redu
 		// quiescence treats us like any blocked receiver.
 		for {
 			kind := e.parkLocked(r, opBlockedRecv, c.members[0], 0)
-			switch kind {
-			case evConducted:
+			if kind == evConducted {
 				out := rv.out[c.me]
 				releaseRend(rv)
 				return out
-			case evCancel:
-				panic(cancelPanic{})
-			case evAbort:
-				panic(abortPanic{err: e.c.abortErr[r.id]})
 			}
+			e.checkResume(r, kind)
 			// evWake: either an unrelated point-to-point message landed
 			// on the watched pair (we are not receiving it — re-park) or
 			// member 0 exited with the rendezvous incomplete.
@@ -321,7 +317,7 @@ func ffSendShared(r *Rank, dst int, payload []float64) ffWire {
 func ffRecv(dst *Rank, src int, w ffWire) []float64 {
 	head, ok := dst.takePushback(src)
 	if !ok {
-		head, ok = w.q.rg.pop()
+		head, ok = w.q.pop()
 		if !ok {
 			// Nothing queued ahead of us: hand the message straight over.
 			return dst.finishRecv(src, w.m)
@@ -335,11 +331,11 @@ func ffRecv(dst *Rank, src int, w ffWire) []float64 {
 		copy(cp, w.m.data)
 		w.m.data = cp
 	}
-	if !w.q.rg.push(w.m) {
+	if !w.q.push(w.m) {
 		// Full pair buffer: move the next head into the pushback slot —
 		// it is precisely a head-of-FIFO side buffer — to make room.
-		next, _ := w.q.rg.pop()
-		w.q.rg.push(w.m)
+		next, _ := w.q.pop()
+		w.q.push(w.m)
 		if dst.pushback == nil {
 			dst.pushback = make(map[int]message, 2)
 		}

@@ -1,24 +1,20 @@
 package sim
 
 import (
+	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// The event-driven runtime (Cost.Runtime = RuntimeEvent).
+// The event engine: the runtime every simulation executes on.
 //
-// The default runtime keeps every rank live on its own goroutine and lets
-// the Go scheduler multiplex them: a blocked receive is a 4-way select, a
-// hang is detected by a real-time watchdog polling atomic state words, and
-// every block/unblock pays scheduler fairness machinery that knows nothing
-// about the simulation. That tops out around p≈16k ranks.
-//
-// The event engine replaces the scheduler with a cooperative run-to-block
-// core of its own. Ranks still execute on goroutines — an SPMD function is
-// an opaque closure whose stack must live somewhere — but a goroutine only
-// runs while the engine has explicitly handed it one of a bounded number of
-// worker slots. When a rank would block (empty receive queue, full send
+// Ranks execute on goroutines — an SPMD function is an opaque closure whose
+// stack must live somewhere — but a goroutine only runs while the engine
+// has explicitly handed it one of a bounded number of worker slots
+// (Cost.Workers). When a rank would block (empty receive queue, full send
 // buffer, a collective rendezvous), it parks: it registers what it waits
 // for, hands its slot to the next runnable rank, and sleeps on a one-token
 // resume channel until the engine wakes it with a reason. Runnable ranks
@@ -27,54 +23,44 @@ import (
 // causal waves and a wake is delivered exactly when the awaited condition
 // holds, never as a poll.
 //
-// This buys three things over the goroutine backend:
+// Three properties follow:
 //
-//   - blocking costs one mutex + one channel token instead of a multi-way
-//     select registered on four wait queues;
+//   - blocking costs one mutex and one channel token;
 //   - quiescence is exact: the engine knows the instant the run queue is
 //     empty and every live rank is parked, so deadlock detection and
-//     virtual-timer firing (timer.go) are immediate and deterministic
-//     instead of a real-time watchdog window (Cost.WatchdogTimeout is
-//     ignored under the event runtime);
+//     virtual-timer firing (timer.go) are immediate and deterministic —
+//     no real-time window decides anything;
 //   - collectives can be fast-forwarded: when no fault plan, observer or
-//     cancel context can touch a run (see ffEligible), a collective's whole
+//     cancel context can touch a run (see ffOK), a collective's whole
 //     message schedule is conducted centrally by its last-arriving member
 //     in one pass (comm_ff.go), eliminating the per-round park/resume
 //     cycles entirely.
 //
-// Results are bit-identical to the goroutine backend by construction:
-// virtual clocks and counters are pure functions of the program's per-pair
-// FIFO message order and the arrival stamps carried in messages, never of
-// which rank happened to run when, and fault decisions are keyed on
-// (seed, src, dst, seq, clock) alone. The conformance sweep pins this
-// identity across all seven algorithms (internal/conformance, backend
-// family).
+// Results are schedule-invariant by construction: virtual clocks and
+// counters are pure functions of the program's per-pair FIFO message order
+// and the arrival stamps carried in messages, never of which rank happened
+// to run when, and fault decisions are keyed on (seed, src, dst, seq,
+// clock) alone. The conformance engine family pins this on every registry
+// algorithm: fast-forwarded against event-by-event collectives, and one
+// worker against the default pool, bitwise.
 
-// Runtime selects the execution backend for a run. Like Wiring, the choice
-// is invisible to the simulation's semantics: clocks, counters, fault
-// decisions and per-rank observer streams are identical under either
-// backend (pinned by the conformance backend family); only wall-clock cost
-// and the diagnostics' real-time behavior differ.
-type Runtime int
-
+// Rank wait states, recorded in evRank.op.
 const (
-	// RuntimeGoroutine runs one live goroutine per rank under the Go
-	// scheduler with a real-time deadlock watchdog (the default).
-	RuntimeGoroutine Runtime = iota
-	// RuntimeEvent runs ranks as cooperatively scheduled continuations on
-	// a sharded virtual-time run queue with exact quiescence detection,
-	// feasible to p ≥ 10⁶ ranks. Cost.WatchdogTimeout is ignored (hangs
-	// are detected exactly, not by timeout); Cost.Workers bounds the
-	// concurrently running ranks.
-	RuntimeEvent
+	opRunning uint8 = iota
+	opBlockedRecv
+	opBlockedSend
+	opExited
+	opBlockedRecvTimer
+	opBlockedSendTimer
 )
 
-// String names the runtime for benchmark labels and reports.
-func (rt Runtime) String() string {
-	if rt == RuntimeEvent {
-		return "event"
+// blockedOp reports whether op is any of the four blocked states.
+func blockedOp(op uint8) bool {
+	switch op {
+	case opBlockedRecv, opBlockedSend, opBlockedRecvTimer, opBlockedSendTimer:
+		return true
 	}
-	return "goroutine"
+	return false
 }
 
 // evKind is the reason a parked rank was resumed.
@@ -83,15 +69,14 @@ type evKind uint8
 const (
 	// evWake: re-examine your wait — a message arrived, buffer space
 	// opened, or the awaited peer exited. The resumed operation re-checks
-	// its conditions in the same fixed priority order as the goroutine
-	// backend (message, peer exit, expiry), so the outcome depends only on
-	// virtual state.
+	// its conditions in a fixed priority order (message, peer exit,
+	// expiry), so the outcome depends only on virtual state.
 	evWake evKind = iota
 	// evTimerFire: the rank's virtual deadline was the earliest armed
 	// timer at quiescence (timer.go rules).
 	evTimerFire
-	// evAbort: the engine filled abortErr[id] (deadlock, send to exited
-	// peer); the rank unwinds with abortPanic.
+	// evAbort: the engine filled the rank's abort diagnostic (deadlock,
+	// send to exited peer); the rank unwinds with abortPanic.
 	evAbort
 	// evCancel: the run context was cancelled; the rank unwinds with
 	// cancelPanic.
@@ -106,11 +91,10 @@ const (
 // token from the dispatching engine to the parked carrier.
 type evRank struct {
 	resume chan evKind
-	// op/peer/deadline form the wait record while parked (op values from
-	// watchdog.go; opRunning while executing or runnable, opExited after
-	// the carrier returns). deadline is the armed virtual deadline of a
-	// timed operation, 0 otherwise.
-	op       uint64
+	// op/peer/deadline form the wait record while parked (opRunning while
+	// executing or runnable, opExited after the carrier returns). deadline
+	// is the armed virtual deadline of a timed operation, 0 otherwise.
+	op       uint8
 	peer     int32
 	runnable bool
 	started  bool
@@ -119,10 +103,11 @@ type evRank struct {
 	// clock is the rank's virtual clock at its last park, the heap key.
 	clock float64
 	// seg/hasSeg snapshot the rank's last timeline segment at park, so
-	// deadlock snapshots can report what it last did (the engine's
-	// equivalent of Cluster.lastSegs).
+	// deadlock snapshots can report what it last did.
 	seg    Segment
 	hasSeg bool
+	// abort is the diagnostic an evAbort resume carries.
+	abort *DeadlockError
 	// watch is the lock-free mirror of the (op, peer) wait record for the
 	// notifyEnqueue/notifyDequeue prechecks: peer<<2 | watchRecv/watchSend
 	// while this rank is parked on a pair operation, 0 otherwise. park
@@ -142,7 +127,7 @@ const (
 )
 
 // watchWord encodes a park's wait record for the lock-free precheck.
-func watchWord(op uint64, peer int) uint64 {
+func watchWord(op uint8, peer int) uint64 {
 	class := watchRecv
 	if op == opBlockedSend || op == opBlockedSendTimer {
 		class = watchSend
@@ -154,6 +139,9 @@ func watchWord(op uint64, peer int) uint64 {
 type evEntry struct {
 	clock float64
 	id    int32
+	// yielded marks a rank that gave up its slot in yieldIfBehind; it
+	// sorts after every other rank at the same clock.
+	yielded bool
 }
 
 // evHeap is a binary min-heap of runnable ranks.
@@ -201,18 +189,20 @@ func evLess(a, b evEntry) bool {
 	if a.clock != b.clock {
 		return a.clock < b.clock
 	}
-	// Ties break toward the HIGHER rank id. Results are schedule-invariant
-	// (the conformance backend family pins this), so the tiebreak is purely
-	// a throughput decision: the ring and tree collectives receive from
-	// higher-indexed peers (Shift(-1) pulls from me+1, reduce trees pull
-	// from the high half), so running high ids first means a rank's sources
-	// have usually stashed their sends by the time it asks — turning most
-	// would-be parks into immediate dequeues.
+	if a.yielded != b.yielded {
+		return b.yielded
+	}
+	// Remaining ties break toward the HIGHER rank id. Results are
+	// schedule-invariant (the conformance engine family pins this), so the
+	// tiebreak is purely a throughput decision: the ring and tree
+	// collectives receive from higher-indexed peers (Shift(-1) pulls from
+	// me+1, reduce trees pull from the high half), so running high ids
+	// first means a rank's sources have usually stashed their sends by the
+	// time it asks — turning most would-be parks into immediate dequeues.
 	return a.id > b.id
 }
 
-// eventEngine is the cooperative scheduler behind RuntimeEvent. One engine
-// drives one run.
+// eventEngine is the cooperative scheduler. One engine drives one run.
 type eventEngine struct {
 	c       *Cluster
 	fn      func(*Rank) error
@@ -266,38 +256,11 @@ func newEventEngine(c *Cluster, fn func(*Rank) error, res *Result) *eventEngine 
 	return e
 }
 
-// runEvent executes fn on every rank under the event engine. It is the
-// RuntimeEvent half of Cluster.Run and produces the same Result and the
-// same joined error.
-func (c *Cluster) runEvent(fn func(r *Rank) error) (*Result, error) {
-	res := &Result{PerRank: make([]Stats, c.p)}
-	if c.tracer != nil {
-		res.Trace = &Trace{Segments: c.tracer.segments, Phases: c.tracer.phases}
-	}
-	e := newEventEngine(c, fn, res)
-	c.eng = e
-	if ctx := c.cost.Context; ctx != nil {
-		watchDone := make(chan struct{})
-		go c.watchContext(ctx, watchDone)
-		defer close(watchDone)
-		go e.watchCancel()
-	}
-	e.mu.Lock()
-	for id := 0; id < c.p; id++ {
-		e.pushRunnable(id, 0)
-	}
-	e.dispatch()
-	e.mu.Unlock()
-	<-e.done
-	res.ActivePairs = c.ActivePairs()
-	return res, joinRunErrors(c, e.errs)
-}
-
 // pushRunnable marks rank id runnable at the given virtual clock. mu held.
-func (e *eventEngine) pushRunnable(id int, clock float64) {
+func (e *eventEngine) pushRunnable(id int, clock float64, yielded bool) {
 	rk := &e.ranks[id]
 	rk.runnable = true
-	e.shards[id%e.workers].push(evEntry{clock: clock, id: int32(id)})
+	e.shards[id%e.workers].push(evEntry{clock: clock, id: int32(id), yielded: yielded})
 	e.nrun++
 }
 
@@ -322,8 +285,8 @@ func (e *eventEngine) popNext() (int, bool) {
 
 // dispatch fills free worker slots from the run queue, and — when the
 // whole cluster has gone quiescent with ranks still live — resolves the
-// quiescence exactly like the watchdog would (peer-exit releases first,
-// then the earliest armed timer, then deadlock). mu held.
+// quiescence (peer-exit releases first, then the earliest armed timer,
+// then deadlock). mu held.
 func (e *eventEngine) dispatch() {
 	for {
 		for e.running < e.workers && e.nrun > 0 {
@@ -356,10 +319,8 @@ func (e *eventEngine) dispatch() {
 	}
 }
 
-// carrier is the goroutine that hosts rank id. It mirrors the per-rank
-// body of the goroutine backend's Run exactly (same recover
-// classification, same exit publication order) and returns its worker
-// slot on exit.
+// carrier is the goroutine that hosts rank id. It classifies the rank's
+// exit, publishes the exit record, and returns its worker slot.
 func (e *eventEngine) carrier(id int) {
 	c := e.c
 	r := &Rank{cluster: c, id: id}
@@ -367,11 +328,11 @@ func (e *eventEngine) carrier(id int) {
 		status, err := c.classifyRankExit(recover(), id, e.errs[id])
 		e.errs[id] = err
 		e.res.PerRank[id] = r.Stats()
-		// Publish the exit record before the exit notification, exactly
-		// like the goroutine backend: a peer that observes the close (or
-		// the engine's opExited under mu) may read exits[id].
+		// Publish the exit record before the exit flag: a peer that
+		// observes the flag (or the engine's opExited under mu) may read
+		// exits[id].
 		c.exits[id] = exitInfo{status: status, err: err}
-		close(c.exitCh[id])
+		c.exited[id].Store(true)
 		e.mu.Lock()
 		rk := &e.ranks[id]
 		rk.op = opExited
@@ -388,17 +349,19 @@ func (e *eventEngine) carrier(id int) {
 }
 
 // yieldIfBehind reparks the calling rank onto the run queue when another
-// runnable rank sits at an earlier virtual clock. A compute-only loop
-// never parks on its own, so on a small worker pool it would starve
-// earlier ranks indefinitely — including ranks whose real-time side
-// effects the program is waiting on (an external cancel, a test
-// synchronization). Results are schedule-invariant, so the repark only
-// affects wall-clock fairness, never the virtual outcome.
+// runnable rank sits at an earlier or equal virtual clock; at equal clocks
+// the yielder queues behind the others. A compute-only loop never parks on
+// its own, so on a small worker pool it would starve those ranks
+// indefinitely — including ranks whose real-time side effects the program
+// is waiting on (an external cancel, a test synchronization), and ranks
+// of a zero-cost loop whose clock never advances. Results are
+// schedule-invariant, so the repark only affects wall-clock fairness,
+// never the virtual outcome.
 func (e *eventEngine) yieldIfBehind(r *Rank) {
 	e.mu.Lock()
 	behind := false
 	for s := range e.shards {
-		if h := e.shards[s]; len(h) > 0 && h[0].clock < r.clock {
+		if h := e.shards[s]; len(h) > 0 && h[0].clock <= r.clock {
 			behind = true
 			break
 		}
@@ -413,7 +376,7 @@ func (e *eventEngine) yieldIfBehind(r *Rank) {
 	// observe cancellation itself at its next instrumented op.
 	rk.kind = evWake
 	rk.seg, rk.hasSeg = r.lastSeg, r.hasSeg
-	e.pushRunnable(r.id, r.clock)
+	e.pushRunnable(r.id, r.clock, true)
 	e.running--
 	e.dispatch()
 	e.mu.Unlock()
@@ -424,8 +387,10 @@ func (e *eventEngine) yieldIfBehind(r *Rank) {
 // engine resumes it. avail, checked under mu, lets the caller detect a
 // condition that raced with its unlocked pre-check (a message enqueued,
 // space opened, the peer exited) — if it reports true the rank never
-// parks and evWake is returned immediately.
-func (e *eventEngine) park(r *Rank, op uint64, peer int, deadline float64, avail func() bool) evKind {
+// parks and evWake is returned immediately. A run already cancelled
+// returns evCancel instead of parking: the cancel sweep has passed, and
+// nothing would wake the rank for it again.
+func (e *eventEngine) park(r *Rank, op uint8, peer int, deadline float64, avail func() bool) evKind {
 	rk := &e.ranks[r.id]
 	rk.watch.Store(watchWord(op, peer))
 	e.mu.Lock()
@@ -434,13 +399,18 @@ func (e *eventEngine) park(r *Rank, op uint64, peer int, deadline float64, avail
 		e.mu.Unlock()
 		return evWake
 	}
+	if e.c.cancelled.Load() {
+		rk.watch.Store(0)
+		e.mu.Unlock()
+		return evCancel
+	}
 	return e.parkLocked(r, op, peer, deadline)
 }
 
 // parkLocked is park's core: record the wait, release the worker slot,
 // hand it to the next runnable rank, and sleep. Enters with mu held,
 // returns with mu released.
-func (e *eventEngine) parkLocked(r *Rank, op uint64, peer int, deadline float64) evKind {
+func (e *eventEngine) parkLocked(r *Rank, op uint8, peer int, deadline float64) evKind {
 	rk := &e.ranks[r.id]
 	rk.op = op
 	rk.peer = int32(peer)
@@ -474,7 +444,7 @@ func (e *eventEngine) wake(id int, kind evKind) {
 		return
 	}
 	rk.kind = kind
-	e.pushRunnable(id, rk.clock)
+	e.pushRunnable(id, rk.clock, false)
 }
 
 // notifyEnqueue wakes dst if it is parked receiving from src. The
@@ -510,15 +480,38 @@ func (e *eventEngine) notifyDequeue(src, dst int) {
 	e.mu.Unlock()
 }
 
-// watchCancel wakes every parked rank with evCancel once the run context
-// is cancelled (running ranks abort at their next instrumented op via
-// cancelCheck, exactly like the goroutine backend).
-func (e *eventEngine) watchCancel() {
+// notifyDrained wakes a sender parked on a full pair after the receiver
+// dequeued from it; the length test skips the engine entirely while the
+// buffer still has room to spare.
+func (e *eventEngine) notifyDrained(q *pairQ, src, dst int) {
+	if q.length() >= int(q.sem)-1 {
+		e.notifyDequeue(src, dst)
+	}
+}
+
+// checkResume unwinds a rank resumed with a terminal reason: evCancel
+// aborts it with cancelPanic, evAbort with the diagnostic the engine
+// recorded. Every other reason returns to the caller's re-check.
+func (e *eventEngine) checkResume(r *Rank, kind evKind) {
+	switch kind {
+	case evCancel:
+		panic(cancelPanic{})
+	case evAbort:
+		panic(abortPanic{err: e.ranks[r.id].abort})
+	}
+}
+
+// watchCancel cancels the run once ctx is done: it publishes the cause,
+// then wakes every parked rank with evCancel. Running ranks abort at their
+// next instrumented op via cancelCheck. The watcher exits when the run
+// ends.
+func (e *eventEngine) watchCancel(ctx context.Context) {
 	select {
-	case <-e.c.cancelCh:
+	case <-ctx.Done():
 	case <-e.done:
 		return
 	}
+	e.c.markCancelled(ctx)
 	e.mu.Lock()
 	for id := range e.ranks {
 		if blockedOp(e.ranks[id].op) {
@@ -533,28 +526,14 @@ func (e *eventEngine) watchCancel() {
 // ordering makes the exit record exits[id] safe to read afterwards.
 func (e *eventEngine) exitedLocked(id int) bool { return e.ranks[id].op == opExited }
 
-// chanClosed reports whether a notification channel has been closed. The
-// close happens-before the observing receive, so reads guarded by it are
-// race-free (same mechanism the goroutine backend's selects rely on).
-func chanClosed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
 // quiesce resolves an exact quiescence: no rank running, none runnable,
-// some still live. The resolution order mirrors the goroutine backend's
-// real-time behavior — releases that the goroutine backend performs
-// immediately (peer-exit notifications, aborts of senders to exited
-// peers) are applied before any timer fires, and the single earliest
-// armed timer fires before deadlock is declared. mu held.
+// some still live. Releases that need no virtual-time decision
+// (peer-exit notifications, aborts of senders to exited peers) are applied
+// before any timer fires, and the single earliest armed timer fires before
+// deadlock is declared. mu held.
 func (e *eventEngine) quiesce() {
-	// (1) Ranks parked on a peer that exited: the goroutine backend's
-	// selects wake on the exit channel the moment it closes; release them
-	// all, and let each re-check (message first, then exit) on resume.
+	// (1) Ranks parked on a peer that exited: release them all, and let
+	// each re-check (message first, then exit) on resume.
 	woke := false
 	for id := range e.ranks {
 		rk := &e.ranks[id]
@@ -573,8 +552,7 @@ func (e *eventEngine) quiesce() {
 		return
 	}
 	// (2) A plain send to an exited peer whose buffer stayed full can
-	// never complete — the watchdog's per-rank case 1. Abort those
-	// senders with the same diagnostic.
+	// never complete. Abort those senders.
 	var snap *ClusterSnapshot
 	for id := range e.ranks {
 		rk := &e.ranks[id]
@@ -585,7 +563,7 @@ func (e *eventEngine) quiesce() {
 		if e.ranks[peer].op != opExited {
 			continue
 		}
-		if e.c.pairOf(id, peer).rg.length() < e.c.bufCap {
+		if e.c.pairOf(id, peer).length() < e.c.bufCap {
 			continue // space opened; the send completes by itself
 		}
 		if snap == nil {
@@ -593,7 +571,7 @@ func (e *eventEngine) quiesce() {
 		}
 		err := &DeadlockError{Rank: id, Op: "send", Peer: peer, PeerExited: true, Snapshot: snap}
 		e.c.emitDeadlock(DeadlockEvent{Err: err})
-		e.c.abortErr[id] = err
+		rk.abort = err
 		e.wake(id, evAbort)
 		woke = true
 	}
@@ -619,8 +597,7 @@ func (e *eventEngine) quiesce() {
 	}
 	// (4) Deadlock: zero armed timers, nothing deliverable. Abort every
 	// blocked rank with the shared wait graph and snapshot.
-	states := e.packedStatesLocked()
-	graph := waitGraph(states)
+	graph := e.waitGraphLocked()
 	if snap == nil {
 		snap = e.snapshotLocked()
 	}
@@ -631,28 +608,30 @@ func (e *eventEngine) quiesce() {
 		}
 		err := &DeadlockError{Rank: id, Op: opName(rk.op), Peer: int(rk.peer), Graph: graph, Snapshot: snap}
 		e.c.emitDeadlock(DeadlockEvent{Err: err})
-		e.c.abortErr[id] = err
+		rk.abort = err
 		e.wake(id, evAbort)
 	}
 }
 
-// packedStatesLocked renders the engine's wait records in the watchdog's
-// packed format so waitGraph is shared between backends. mu held.
-func (e *eventEngine) packedStatesLocked() []uint64 {
-	states := make([]uint64, len(e.ranks))
+// waitGraphLocked renders the wait-for relation of the blocked ranks,
+// e.g. "rank 3 waiting on rank 5, rank 5 waiting on rank 3". mu held.
+func (e *eventEngine) waitGraphLocked() string {
+	var b strings.Builder
 	for id := range e.ranks {
 		rk := &e.ranks[id]
-		peer := int(rk.peer)
-		if peer < 0 {
-			peer = 0
+		if !blockedOp(rk.op) {
+			continue
 		}
-		states[id] = packState(0, rk.op, peer)
+		if b.Len() > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "rank %d waiting on rank %d", id, rk.peer)
 	}
-	return states
+	return "wait-for graph: " + b.String()
 }
 
 // snapshotLocked builds the cluster snapshot from the engine's exact wait
-// records (the engine's equivalent of Cluster.snapshot). mu held.
+// records. mu held.
 func (e *eventEngine) snapshotLocked() *ClusterSnapshot {
 	snap := &ClusterSnapshot{Ranks: make([]RankSnapshot, e.c.p)}
 	for id := range e.ranks {
@@ -682,138 +661,61 @@ func (e *eventEngine) snapshotLocked() *ClusterSnapshot {
 	return snap
 }
 
-// deliverEvent is deliver's engine path: enqueue without blocking the
-// thread, parking the rank when the pair's buffer is full.
-func (e *eventEngine) deliverEvent(r *Rank, dst int, m message) {
-	q := &r.queueTo(dst).rg
+// recvTimeoutEvent is RecvTimeout's blocking path: dequeue from src, parking
+// with the armed deadline and resolving in a fixed priority order
+// (message, peer exit, expiry). Neither got nor exited means the timer
+// fired.
+func (e *eventEngine) recvTimeoutEvent(r *Rank, src int, deadline float64) (msg message, got, exited bool) {
+	q := r.queueFrom(src)
+	fired := false
 	for {
-		if q.push(m) {
-			e.notifyEnqueue(r.id, dst)
-			return
-		}
-		kind := e.park(r, opBlockedSend, dst, 0, func() bool { return q.length() < int(q.sem) })
-		switch kind {
-		case evCancel:
-			panic(cancelPanic{})
-		case evAbort:
-			panic(abortPanic{err: e.c.abortErr[r.id]})
-		}
-	}
-}
-
-// recvEvent is Recv's engine path: dequeue the next message from src,
-// parking until one arrives. ok=false reports that src exited with
-// nothing further queued (the caller names the root cause, shared with
-// the goroutine path).
-func (e *eventEngine) recvEvent(r *Rank, src int) (message, bool) {
-	q := &r.queueFrom(src).rg
-	exitCh := e.c.exitCh[src]
-	for {
-		if msg, ok := q.pop(); ok {
-			if q.length() >= int(q.sem)-1 {
-				e.notifyDequeue(src, r.id)
-			}
-			return msg, true
-		}
-		if chanClosed(exitCh) {
-			// Everything the peer ever sent was enqueued before its exit
-			// notification; drain once more before failing.
-			return q.pop()
-		}
-		kind := e.park(r, opBlockedRecv, src, 0, func() bool {
-			return q.length() > 0 || e.exitedLocked(src)
-		})
-		switch kind {
-		case evCancel:
-			panic(cancelPanic{})
-		case evAbort:
-			panic(abortPanic{err: e.c.abortErr[r.id]})
-		}
-	}
-}
-
-// recvTimeoutEvent is RecvTimeout's engine path after the unlocked fast
-// checks failed: park with the armed deadline and resolve with the same
-// fixed priority order as the goroutine backend (message, peer exit,
-// expiry).
-func (e *eventEngine) recvTimeoutEvent(r *Rank, src int, deadline float64) (msg message, got, exited, fired bool) {
-	q := &r.queueFrom(src).rg
-	exitCh := e.c.exitCh[src]
-	// Fast path before parking (RecvTimeout's unlocked pre-check lives
-	// here under the engine): a buffered message resolves immediately.
-	if msg, got = q.pop(); got {
-		if q.length() >= int(q.sem)-1 {
-			e.notifyDequeue(src, r.id)
-		}
-		return
-	}
-	for {
-		kind := e.park(r, opBlockedRecvTimer, src, deadline, func() bool {
-			return q.length() > 0 || e.exitedLocked(src)
-		})
-		switch kind {
-		case evCancel:
-			panic(cancelPanic{})
-		case evAbort:
-			panic(abortPanic{err: e.c.abortErr[r.id]})
-		case evTimerFire:
-			fired = true
-		}
 		if msg, got = q.pop(); got {
-			if q.length() >= int(q.sem)-1 {
-				e.notifyDequeue(src, r.id)
-			}
+			e.notifyDrained(q, src, r.id)
 			return
 		}
-		if chanClosed(exitCh) {
-			exited = true
-			return
+		if r.cluster.exited[src].Load() {
+			// Everything the peer ever sent was enqueued before its exit
+			// was published; drain once more before reporting the exit.
+			msg, got = q.pop()
+			return msg, got, !got
 		}
 		if fired {
 			return
 		}
+		kind := e.park(r, opBlockedRecvTimer, src, deadline, func() bool {
+			return q.length() > 0 || e.exitedLocked(src)
+		})
+		e.checkResume(r, kind)
+		fired = kind == evTimerFire
 	}
 }
 
-// sendDeadlineEvent is deliverDeadline's engine path: enqueue with a
-// virtual deadline bounding the park. Resolution priority mirrors the
-// goroutine backend: enqueue if space opened, then peer exit, then
-// expiry.
-func (e *eventEngine) sendDeadlineEvent(r *Rank, dst int, m message, deadline float64) (sent, exited, fired bool) {
-	q := &r.queueTo(dst).rg
-	exitCh := e.c.exitCh[dst]
+// sendDeadlineEvent is deliverDeadline's blocking path: enqueue with a
+// virtual deadline bounding the park, resolving in a fixed priority order
+// (enqueue if space opened, then peer exit, then expiry). Neither sent nor
+// exited means the timer fired.
+func (e *eventEngine) sendDeadlineEvent(r *Rank, dst int, m message, deadline float64) (sent, exited bool) {
+	q := r.queueTo(dst)
+	fired := false
 	for {
 		if q.push(m) {
-			sent = true
 			e.notifyEnqueue(r.id, dst)
-			return
+			return true, false
 		}
-		if chanClosed(exitCh) {
-			exited = true
-			return
+		if r.cluster.exited[dst].Load() {
+			// The peer's last dequeue happened before its exit was
+			// published, so the queue is final: retry once before
+			// reporting the exit.
+			sent = q.push(m)
+			return sent, !sent
+		}
+		if fired {
+			return false, false
 		}
 		kind := e.park(r, opBlockedSendTimer, dst, deadline, func() bool {
 			return q.length() < int(q.sem) || e.exitedLocked(dst)
 		})
-		switch kind {
-		case evCancel:
-			panic(cancelPanic{})
-		case evAbort:
-			panic(abortPanic{err: e.c.abortErr[r.id]})
-		case evTimerFire:
-			fired = true
-		}
-		if q.push(m) {
-			sent = true
-			e.notifyEnqueue(r.id, dst)
-			return
-		}
-		if chanClosed(exitCh) {
-			exited = true
-			return
-		}
-		if fired {
-			return
-		}
+		e.checkResume(r, kind)
+		fired = kind == evTimerFire
 	}
 }

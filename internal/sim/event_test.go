@@ -3,70 +3,67 @@ package sim
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// eventCost returns unitCost switched to the event backend.
-func eventCost() Cost {
-	cost := unitCost
-	cost.Runtime = RuntimeEvent
-	return cost
-}
-
-// runBothBackends executes the same program under the goroutine and event
-// runtimes and requires bitwise-identical Results: per-rank Stats structs
-// compare with == (float64 equality, no tolerance) and ActivePairs must
-// match. It returns both results for further inspection.
-func runBothBackends(t *testing.T, p int, cost Cost, fn func(r *Rank) error) (*Result, *Result) {
+// runEnginePaths executes the same program three ways — as configured,
+// with a no-op observer attached (which disables fast-forwarded
+// collectives, so every message takes the event-by-event path), and on a
+// single worker — and requires bitwise-identical Results: per-rank Stats
+// structs compare with == (float64 equality, no tolerance), ActivePairs
+// and error text must match. It returns the as-configured result.
+func runEnginePaths(t *testing.T, p int, cost Cost, fn func(r *Rank) error) *Result {
 	t.Helper()
-	gCost := cost
-	gCost.Runtime = RuntimeGoroutine
-	gRes, gErr := Run(p, gCost, fn)
-	eCost := cost
-	eCost.Runtime = RuntimeEvent
-	eRes, eErr := Run(p, eCost, fn)
-	if (gErr == nil) != (eErr == nil) {
-		t.Fatalf("error mismatch: goroutine=%v event=%v", gErr, eErr)
-	}
-	if gErr != nil && gErr.Error() != eErr.Error() {
-		t.Fatalf("error text mismatch:\n  goroutine: %v\n  event:     %v", gErr, eErr)
-	}
-	if gRes == nil || eRes == nil {
-		return gRes, eRes
-	}
-	if gRes.ActivePairs != eRes.ActivePairs {
-		t.Errorf("ActivePairs: goroutine=%d event=%d", gRes.ActivePairs, eRes.ActivePairs)
-	}
-	for i := range gRes.PerRank {
-		if gRes.PerRank[i] != eRes.PerRank[i] {
-			t.Errorf("rank %d stats differ:\n  goroutine: %+v\n  event:     %+v",
-				i, gRes.PerRank[i], eRes.PerRank[i])
+	ref, refErr := Run(p, cost, fn)
+	slow := cost
+	slow.Observers = append(append([]Observer(nil), cost.Observers...), nopObserver{})
+	one := cost
+	one.Workers = 1
+	for _, leg := range []struct {
+		name string
+		cost Cost
+	}{{"slow path", slow}, {"Workers=1", one}} {
+		res, err := Run(p, leg.cost, fn)
+		if (refErr == nil) != (err == nil) {
+			t.Fatalf("%s: error mismatch: reference=%v %s=%v", leg.name, refErr, leg.name, err)
+		}
+		if refErr != nil && refErr.Error() != err.Error() {
+			t.Fatalf("%s: error text mismatch:\n  reference: %v\n  %s: %v", leg.name, refErr, leg.name, err)
+		}
+		if ref == nil || res == nil {
+			continue
+		}
+		if ref.ActivePairs != res.ActivePairs {
+			t.Errorf("%s: ActivePairs: reference=%d got=%d", leg.name, ref.ActivePairs, res.ActivePairs)
+		}
+		for i := range ref.PerRank {
+			if ref.PerRank[i] != res.PerRank[i] {
+				t.Errorf("%s: rank %d stats differ:\n  reference: %+v\n  got:       %+v",
+					leg.name, i, ref.PerRank[i], res.PerRank[i])
+			}
 		}
 	}
-	return gRes, eRes
+	return ref
 }
 
 func TestRuntimeValidation(t *testing.T) {
 	cost := zeroCost
-	cost.Runtime = Runtime(99)
-	if _, err := NewCluster(2, cost); err == nil {
-		t.Error("unknown runtime mode must be rejected")
-	}
-	cost = zeroCost
 	cost.Workers = -1
 	if _, err := NewCluster(2, cost); err == nil {
 		t.Error("negative worker count must be rejected")
 	}
-}
-
-func TestRuntimeString(t *testing.T) {
-	if RuntimeGoroutine.String() != "goroutine" || RuntimeEvent.String() != "event" {
-		t.Errorf("Runtime strings: %q %q", RuntimeGoroutine, RuntimeEvent)
+	cost = zeroCost
+	cost.ChanCap = -1
+	if _, err := NewCluster(2, cost); err == nil {
+		t.Error("negative queue capacity must be rejected")
 	}
 }
 
 func TestEventBackendSendRecv(t *testing.T) {
-	res, err := Run(2, eventCost(), func(r *Rank) error {
+	res, err := Run(2, unitCost, func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Send(1, []float64{1, 2, 3})
 		} else {
@@ -92,9 +89,9 @@ func TestEventBackendSendRecv(t *testing.T) {
 // TestEventBackendBackpressure fills a bounded mailbox so the sender must
 // park on a full queue and be woken by the receiver's dequeues.
 func TestEventBackendBackpressure(t *testing.T) {
-	cost := eventCost()
+	cost := unitCost
 	cost.ChanCap = 2
-	runBothBackends(t, 2, cost, func(r *Rank) error {
+	runEnginePaths(t, 2, cost, func(r *Rank) error {
 		const n = 20
 		if r.ID() == 0 {
 			for i := 0; i < n; i++ {
@@ -113,24 +110,24 @@ func TestEventBackendBackpressure(t *testing.T) {
 	})
 }
 
-// TestEventBackendCollectivesIdentical drives every collective through both
-// backends with an observer attached (forcing the event engine down its
-// event-by-event slow path) and demands bitwise-identical Results.
+// TestEventBackendCollectivesIdentical drives every collective with an
+// observer attached (forcing the engine down its event-by-event slow path)
+// on the default pool and on one worker, and demands bitwise-identical
+// Results.
 func TestEventBackendCollectivesIdentical(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 7, 8} {
 		cost := unitCost
 		cost.Observers = []Observer{nopObserver{}}
-		runBothBackends(t, p, cost, collectiveTour)
+		runEnginePaths(t, p, cost, collectiveTour)
 	}
 }
 
 // TestEventBackendFastForwardIdentical runs the same tour with no observer,
-// fault plan, or context, so the event engine takes the fast-forward path.
-// The goroutine backend is the reference; Results must still be bitwise
-// identical.
+// fault plan, or context, so the engine takes the fast-forward path, and
+// requires Results bitwise identical to the event-by-event slow path.
 func TestEventBackendFastForwardIdentical(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 7, 8, 16} {
-		runBothBackends(t, p, unitCost, collectiveTour)
+		runEnginePaths(t, p, unitCost, collectiveTour)
 	}
 }
 
@@ -186,7 +183,7 @@ func collectiveTour(r *Rank) error {
 // TestEventBackendSplitIdentical runs collectives on subcommunicators so
 // fast-forward rendezvous keys must separate memberships.
 func TestEventBackendSplitIdentical(t *testing.T) {
-	runBothBackends(t, 8, unitCost, func(r *Rank) error {
+	runEnginePaths(t, 8, unitCost, func(r *Rank) error {
 		w := r.World()
 		sub, err := w.Split(r.ID()%2, r.ID())
 		if err != nil {
@@ -206,7 +203,7 @@ func TestEventBackendSplitIdentical(t *testing.T) {
 // with collectives, including a message from the conductor-designate
 // (member 0) that must not be mistaken for a rendezvous wake.
 func TestEventBackendMixedP2PAndCollectives(t *testing.T) {
-	runBothBackends(t, 4, unitCost, func(r *Rank) error {
+	runEnginePaths(t, 4, unitCost, func(r *Rank) error {
 		w := r.World()
 		if r.ID() == 0 {
 			r.Compute(5)
@@ -227,8 +224,7 @@ func TestEventBackendMixedP2PAndCollectives(t *testing.T) {
 }
 
 func TestEventBackendDeadlockDetection(t *testing.T) {
-	cost := eventCost()
-	_, err := Run(2, cost, func(r *Rank) error {
+	_, err := Run(2, unitCost, func(r *Rank) error {
 		// Both ranks wait on each other; nobody ever sends.
 		r.Recv(1 - r.ID())
 		return nil
@@ -243,26 +239,20 @@ func TestEventBackendDeadlockDetection(t *testing.T) {
 }
 
 func TestEventBackendRecvFromExitedPeer(t *testing.T) {
-	gCost := unitCost
-	eCost := eventCost()
 	fn := func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Recv(1) // rank 1 exits cleanly without sending
 		}
 		return nil
 	}
-	_, gErr := Run(2, gCost, fn)
-	_, eErr := Run(2, eCost, fn)
-	if gErr == nil || eErr == nil {
-		t.Fatalf("expected errors, got goroutine=%v event=%v", gErr, eErr)
-	}
-	if gErr.Error() != eErr.Error() {
-		t.Errorf("exit-cause text differs:\n  goroutine: %v\n  event:     %v", gErr, eErr)
+	runEnginePaths(t, 2, unitCost, fn)
+	if _, err := Run(2, unitCost, fn); err == nil || !strings.Contains(err.Error(), "exited without sending") {
+		t.Errorf("expected an exited-peer error naming the clean exit, got %v", err)
 	}
 }
 
 func TestEventBackendSendToExitedPeer(t *testing.T) {
-	cost := eventCost()
+	cost := unitCost
 	cost.ChanCap = 1
 	_, err := Run(2, cost, func(r *Rank) error {
 		if r.ID() == 0 {
@@ -281,7 +271,7 @@ func TestEventBackendSendToExitedPeer(t *testing.T) {
 }
 
 func TestEventBackendRecvTimeout(t *testing.T) {
-	runBothBackends(t, 2, unitCost, func(r *Rank) error {
+	runEnginePaths(t, 2, unitCost, func(r *Rank) error {
 		if r.ID() == 0 {
 			// Nothing arrives from 1 until well past the deadline.
 			got, out := r.RecvTimeout(1, 500)
@@ -300,7 +290,7 @@ func TestEventBackendRecvTimeout(t *testing.T) {
 }
 
 func TestEventBackendRecvTimeoutPeerExit(t *testing.T) {
-	runBothBackends(t, 2, unitCost, func(r *Rank) error {
+	runEnginePaths(t, 2, unitCost, func(r *Rank) error {
 		if r.ID() == 0 {
 			if _, out := r.RecvTimeout(1, 1e9); out != RecvPeerExited {
 				return errors.New("expected RecvPeerExited")
@@ -313,7 +303,7 @@ func TestEventBackendRecvTimeoutPeerExit(t *testing.T) {
 func TestEventBackendSendTimeout(t *testing.T) {
 	cost := unitCost
 	cost.ChanCap = 1
-	runBothBackends(t, 2, cost, func(r *Rank) error {
+	runEnginePaths(t, 2, cost, func(r *Rank) error {
 		if r.ID() == 0 {
 			if out := r.SendTimeout(1, []float64{1}, 100); out != SendOK {
 				return errors.New("first send must fit")
@@ -336,7 +326,7 @@ func TestEventBackendSendTimeout(t *testing.T) {
 
 func TestEventBackendCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cost := eventCost()
+	cost := unitCost
 	cost.Context = ctx
 	started := make(chan struct{})
 	var once chan struct{} = started
@@ -363,10 +353,10 @@ func TestEventBackendCancel(t *testing.T) {
 	}
 }
 
-// TestEventBackendFaultIdentity replays a seeded chaos plan — drops, dups,
-// corruption, degradation, a respawned crash — through both backends. The
-// fault plan is pure virtual-time state machine, so Results must match
-// bitwise even on the slow path.
+// TestEventBackendFaultIdentity replays a seeded chaos plan — dups,
+// corruption, degradation, a respawned crash — on the default pool and on
+// one worker. The fault plan is a pure virtual-time state machine, so
+// Results must match bitwise.
 func TestEventBackendFaultIdentity(t *testing.T) {
 	plan := &FaultPlan{
 		Seed:       7,
@@ -378,7 +368,7 @@ func TestEventBackendFaultIdentity(t *testing.T) {
 	}
 	cost := unitCost
 	cost.Faults = plan
-	runBothBackends(t, 4, cost, func(r *Rank) error {
+	runEnginePaths(t, 4, cost, func(r *Rank) error {
 		w := r.World()
 		data := []float64{float64(r.ID()), 1, 2}
 		for step := 0; step < 5; step++ {
@@ -391,50 +381,85 @@ func TestEventBackendFaultIdentity(t *testing.T) {
 	})
 }
 
-// TestEventBackendWorkers checks that a multi-worker pool still yields the
-// same deterministic result.
+// TestEventBackendWorkers checks that every pool size yields the same
+// deterministic result as a single worker.
 func TestEventBackendWorkers(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
+	one := unitCost
+	one.Workers = 1
+	ref, err := Run(8, one, collectiveTour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 8} {
 		cost := unitCost
 		cost.Workers = workers
-		runBothBackends(t, 8, cost, collectiveTour)
+		res := runEnginePaths(t, 8, cost, collectiveTour)
+		for i := range ref.PerRank {
+			if ref.PerRank[i] != res.PerRank[i] {
+				t.Errorf("Workers=%d rank %d stats differ from Workers=1:\n  %+v\n  %+v",
+					workers, i, res.PerRank[i], ref.PerRank[i])
+			}
+		}
 	}
 }
 
-// TestEventBackendDenseWiring runs the tour under dense wiring; the event
-// engine must price identically when all p² pairs are pre-wired.
-func TestEventBackendDenseWiring(t *testing.T) {
-	cost := unitCost
-	cost.Wiring = WiringDense
-	runBothBackends(t, 4, cost, collectiveTour)
+// TestEventBackendYieldsToEqualClock pins the engine's fairness on one
+// worker: a zero-cost compute loop never advances its clock, so it must
+// still yield to a runnable rank at the same clock — here the rank whose
+// real-time side effect the loop waits for.
+func TestEventBackendYieldsToEqualClock(t *testing.T) {
+	var flag atomic.Bool
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(2, Cost{Workers: 1}, func(r *Rank) error {
+			if r.ID() == 0 {
+				flag.Store(true)
+				return nil
+			}
+			for !flag.Load() {
+				r.Compute(1)
+			}
+			return nil
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a zero-cost compute loop starved an equal-clock rank on one worker")
+	}
 }
 
 // TestEventBackendObserverStream compares the per-rank observer event
-// sequences between backends. Cross-rank interleaving is unordered by
-// contract, so only the per-rank order is asserted.
+// sequences between one worker and the default pool. Cross-rank
+// interleaving is unordered by contract, so only the per-rank order is
+// asserted.
 func TestEventBackendObserverStream(t *testing.T) {
-	record := func(rt Runtime) map[int][]Segment {
+	record := func(workers int) map[int][]Segment {
 		obs := newRecObs()
 		cost := unitCost
-		cost.Runtime = rt
+		cost.Workers = workers
 		cost.Observers = []Observer{obs}
 		if _, err := Run(4, cost, collectiveTour); err != nil {
 			t.Fatal(err)
 		}
 		return obs.segs
 	}
-	gSegs := record(RuntimeGoroutine)
-	eSegs := record(RuntimeEvent)
+	oneSegs := record(1)
+	poolSegs := record(0)
 	for rank := 0; rank < 4; rank++ {
-		g, e := gSegs[rank], eSegs[rank]
-		if len(g) != len(e) {
-			t.Fatalf("rank %d: %d goroutine segments vs %d event segments",
-				rank, len(g), len(e))
+		one, pool := oneSegs[rank], poolSegs[rank]
+		if len(one) != len(pool) {
+			t.Fatalf("rank %d: %d segments on one worker vs %d on the pool",
+				rank, len(one), len(pool))
 		}
-		for i := range g {
-			if g[i] != e[i] {
-				t.Errorf("rank %d segment %d differs:\n  goroutine: %+v\n  event:     %+v",
-					rank, i, g[i], e[i])
+		for i := range one {
+			if one[i] != pool[i] {
+				t.Errorf("rank %d segment %d differs:\n  one worker: %+v\n  pool:       %+v",
+					rank, i, one[i], pool[i])
 			}
 		}
 	}
@@ -442,7 +467,7 @@ func TestEventBackendObserverStream(t *testing.T) {
 
 // TestEventBackendTracer makes sure Cost.Trace works under the engine.
 func TestEventBackendTracer(t *testing.T) {
-	cost := eventCost()
+	cost := unitCost
 	cost.Trace = true
 	res, err := Run(2, cost, func(r *Rank) error {
 		r.Compute(5)
@@ -461,14 +486,13 @@ func TestEventBackendTracer(t *testing.T) {
 	}
 }
 
-// TestEventBackendLargeRing is a smoke test at a size where the goroutine
-// backend would already spend visible time: a 4096-rank ring shift plus an
-// AllReduce, fast-forwarded.
+// TestEventBackendLargeRing is a smoke test at scale: a 4096-rank ring
+// shift plus an AllReduce, fast-forwarded.
 func TestEventBackendLargeRing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large ring skipped in -short")
 	}
-	cost := eventCost()
+	cost := unitCost
 	cost.GammaT = 1
 	cost.AlphaT = 1e-6
 	cost.BetaT = 1e-9

@@ -52,8 +52,8 @@ type LinkFault struct {
 	Src, Dst    int
 	From, Until float64
 	// DropProb is the probability the message's primary copy is silently
-	// discarded (a receiver the send was its only copy for then hangs
-	// until the watchdog converts the hang into a diagnostic error). A
+	// discarded (a receiver the send was its only copy for then waits
+	// until quiescence converts the hang into a diagnostic error). A
 	// simultaneously duplicated message still delivers its duplicate —
 	// each copy routes independently.
 	DropProb float64

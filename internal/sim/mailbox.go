@@ -5,77 +5,21 @@ import (
 	"sync/atomic"
 )
 
-// Wiring is how the cluster is scaled to its rank count. The runtime used to
-// allocate a dense p×p matrix of buffered channels up front, which caps a
-// run at modest p: p = 4096 wires ~16.7M channels (tens of GB of buffer
-// space) before the first flop, and p = 16384 is out of reach entirely. The
-// algorithms in this repository touch only O(log p) distinct peers per rank
-// (grid neighbours, tree parents/children, fiber partners), so almost all of
-// that matrix is dead weight.
-//
-// Sparse wiring — the default — creates a pair's queue on first use instead:
-// each rank owns a mailbox, a small mutex-protected map from sender id to
-// the pair's FIFO queue, and both endpoints get-or-create the queue on their
-// first Send/Recv across the pair. Memory then scales with the number of
+// Pair queues are wired on demand. A dense p×p matrix of queues would cap
+// a run at modest p: p = 4096 is ~16.7M queues before the first flop. The
+// algorithms in this repository touch only O(log p) distinct peers per
+// rank (grid neighbours, tree parents/children, fiber partners), so almost
+// all of that matrix would be dead weight. Instead each rank owns a
+// mailbox, a small mutex-protected map from sender id to the pair's FIFO
+// queue, and both endpoints get-or-create the queue on their first
+// Send/Recv across the pair. Memory then scales with the number of
 // *active* communication pairs, O(p·log p) for the 2.5D/CAPS/FFT patterns
 // here, instead of p².
-//
-// Dense wiring is kept selectable for the wiring benchmarks
-// (BenchmarkWiring, cmd/bench) that measure exactly this difference.
-//
-// The wiring mode is invisible to the simulation's semantics: virtual
-// clocks, counters and fault decisions depend only on the program's
-// communication pattern and the arrival stamps carried inside messages,
-// never on how the underlying queues were allocated, so a run's Result is
-// bit-identical under either mode (pinned by TestDenseSparseIdentical*).
-type Wiring int
 
-const (
-	// WiringSparse creates per-pair queues on demand (the default).
-	WiringSparse Wiring = iota
-	// WiringDense pre-allocates the full p×p queue matrix up front, the
-	// historical layout, kept for memory/startup comparisons.
-	WiringDense
-)
-
-// String names the wiring mode for benchmark labels and reports.
-func (w Wiring) String() string {
-	if w == WiringDense {
-		return "dense"
-	}
-	return "sparse"
-}
-
-// pairQ is one ordered src→dst FIFO. Exactly one of the two carriers is
-// active, chosen by the cluster's runtime backend:
-//
-//   - the goroutine backend blocks real OS threads, so it needs a real
-//     channel it can select against cancellation and peer exit;
-//   - the event backend never blocks a thread on a pair — a full or empty
-//     queue parks the rank in the engine instead — so its fast path is a
-//     single-producer single-consumer ring with two atomic cursors and no
-//     lock. At p = 16384 the channel's lock/unlock pair on every hot-loop
-//     enqueue and dequeue was ~15% of a whole 2.5D run.
-//
-// The SPSC invariant holds because a pair has exactly one sending and one
-// receiving rank, a rank executes on one carrier at a time, and conducted
-// collectives (comm_ff.go) touch a member's pairs only while that member is
-// parked — every ownership handoff goes through the engine lock.
-type pairQ struct {
-	ch chan message // goroutine backend; nil under the event engine
-	rg evRing       // event backend; zero-valued under goroutines
-}
-
-// count reports the number of queued messages, whichever carrier is live.
-func (q *pairQ) count() int {
-	if q.ch != nil {
-		return len(q.ch)
-	}
-	return q.rg.length()
-}
-
-// evRing is the event backend's pair queue: a fixed-capacity SPSC ring.
-// The producer owns tail, the consumer owns head; each side reads the
+// pairQ is one ordered src→dst FIFO: a fixed-capacity single-producer
+// single-consumer ring. A full or empty queue parks the rank in the engine
+// rather than blocking a thread, so the fast path needs no lock: the
+// producer owns tail, the consumer owns head, and each side reads the
 // other's cursor atomically. Go's atomics are sequentially consistent, so
 // the buffer write before tail.Store is visible to a consumer that loads
 // the new tail (and symmetrically for slot reuse after head.Store). The
@@ -83,7 +27,12 @@ func (q *pairQ) count() int {
 // capacity and allocated lazily by the producer on first enqueue: pairs
 // that only ever carry conducted collective traffic (direct handoff, see
 // ffRecv) never materialize a buffer at all.
-type evRing struct {
+//
+// The SPSC invariant holds because a pair has exactly one sending and one
+// receiving rank, a rank executes on one carrier at a time, and conducted
+// collectives (comm_ff.go) touch a member's pairs only while that member is
+// parked — every ownership handoff goes through the engine lock.
+type pairQ struct {
 	head atomic.Uint32 // consumer cursor
 	tail atomic.Uint32 // producer cursor
 	sem  uint32        // semantic capacity (Cost.ChanCap)
@@ -91,7 +40,7 @@ type evRing struct {
 	buf  []message
 }
 
-func (q *evRing) init(bufCap int) {
+func (q *pairQ) init(bufCap int) {
 	n := 1
 	for n < bufCap {
 		n <<= 1
@@ -101,11 +50,11 @@ func (q *evRing) init(bufCap int) {
 }
 
 // length is safe to call from either side (and from the quiesced engine).
-func (q *evRing) length() int { return int(q.tail.Load() - q.head.Load()) }
+func (q *pairQ) length() int { return int(q.tail.Load() - q.head.Load()) }
 
 // push enqueues m, failing when the semantic capacity is reached.
 // Producer side only.
-func (q *evRing) push(m message) bool {
+func (q *pairQ) push(m message) bool {
 	t := q.tail.Load()
 	if t-q.head.Load() >= q.sem {
 		return false
@@ -120,7 +69,7 @@ func (q *evRing) push(m message) bool {
 
 // pop dequeues the head message. Consumer side only. The slot is zeroed so
 // the ring does not pin delivered payloads for the GC.
-func (q *evRing) pop() (message, bool) {
+func (q *pairQ) pop() (message, bool) {
 	h := q.head.Load()
 	if q.tail.Load() == h {
 		return message{}, false
@@ -141,12 +90,9 @@ type mailbox struct {
 }
 
 // pairOf returns the FIFO queue for the ordered pair src→dst, creating it
-// on first use under sparse wiring. The map entry itself is the unit the
-// wiring accounting (ActivePairs) counts.
+// on first use. The map entry itself is the unit the wiring accounting
+// (ActivePairs) counts.
 func (c *Cluster) pairOf(src, dst int) *pairQ {
-	if c.dense != nil {
-		return &c.dense[src][dst]
-	}
 	mb := &c.mail[dst]
 	mb.mu.Lock()
 	q := mb.queues[src]
@@ -154,21 +100,11 @@ func (c *Cluster) pairOf(src, dst int) *pairQ {
 		if mb.queues == nil {
 			mb.queues = make(map[int]*pairQ, 8)
 		}
-		q = c.newPairQ()
+		q = &pairQ{}
+		q.init(c.bufCap)
 		mb.queues[src] = q
 	}
 	mb.mu.Unlock()
-	return q
-}
-
-// newPairQ builds a pair queue for the cluster's runtime backend.
-func (c *Cluster) newPairQ() *pairQ {
-	q := &pairQ{}
-	if c.cost.Runtime == RuntimeEvent {
-		q.rg.init(c.bufCap)
-	} else {
-		q.ch = make(chan message, c.bufCap)
-	}
 	return q
 }
 
@@ -238,12 +174,9 @@ func (r *Rank) queueFrom(src int) *pairQ {
 }
 
 // ActivePairs reports how many ordered communication pairs were actually
-// wired during the run — the quantity sparse wiring's memory scales with
-// (p² under dense wiring, by construction). Call it after Run returns.
+// wired during the run — the quantity the wiring's memory scales with.
+// Call it after Run returns.
 func (c *Cluster) ActivePairs() int {
-	if c.dense != nil {
-		return c.p * c.p
-	}
 	n := 0
 	for i := range c.mail {
 		mb := &c.mail[i]

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +8,7 @@ import (
 
 // mixedProgram exercises point-to-point sends of several sizes (including
 // zero words), waits, collectives, tracked memory and self-sends — every
-// code path whose accounting must be wiring-independent.
+// code path whose accounting must be schedule-independent.
 func mixedProgram(r *Rank) error {
 	w := r.World()
 	p := r.P()
@@ -31,12 +30,12 @@ func mixedProgram(r *Rank) error {
 	return nil
 }
 
-// TestDenseSparseIdenticalResults pins the tentpole guarantee: the wiring
-// mode changes how queues are allocated, never what the simulation computes.
-// Every per-rank counter and clock must match bit for bit across modes, for
-// plain runs, message splitting, ChargeReceiver, per-link costs and a full
-// fault plan.
-func TestDenseSparseIdenticalResults(t *testing.T) {
+// TestScheduleInvariantResults pins the engine's core guarantee: how ranks
+// are scheduled — fast-forwarded or event by event, one worker or a pool —
+// never changes what the simulation computes. Every per-rank counter and
+// clock must match bit for bit, for plain runs, message splitting,
+// ChargeReceiver, per-link costs and a full fault plan.
+func TestScheduleInvariantResults(t *testing.T) {
 	costs := map[string]Cost{
 		"base":     {GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6},
 		"splitMsg": {GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, MaxMsgWords: 7},
@@ -49,7 +48,7 @@ func TestDenseSparseIdenticalResults(t *testing.T) {
 			Links:  TwoLevelLinks{CoresPerNode: 2, IntraAlpha: 1e-7, IntraBeta: 1e-9, InterAlpha: 1e-5, InterBeta: 1e-8},
 		},
 		// Stream-preserving faults only: mixedProgram is not fault-tolerant,
-		// so drops/dups would (correctly) derail it under either wiring.
+		// so drops/dups would (correctly) derail it on every schedule.
 		"faulty": {
 			GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6, ChargeReceiver: true,
 			Faults: &FaultPlan{
@@ -60,86 +59,40 @@ func TestDenseSparseIdenticalResults(t *testing.T) {
 		},
 	}
 	for name, cost := range costs {
-		runWith := func(w Wiring) []Stats {
-			c := cost
-			c.Wiring = w
-			res, err := Run(8, c, mixedProgram)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, w, err)
-			}
-			return res.PerRank
-		}
-		dense, sparse := runWith(WiringDense), runWith(WiringSparse)
-		for id := range dense {
-			if dense[id] != sparse[id] {
-				t.Errorf("%s rank %d: dense and sparse wiring disagree:\ndense:  %+v\nsparse: %+v",
-					name, id, dense[id], sparse[id])
-			}
-		}
+		t.Run(name, func(t *testing.T) {
+			runEnginePaths(t, 8, cost, mixedProgram)
+		})
 	}
 }
 
-// TestDenseWiringDiagnostics re-runs the failure-path scenarios under dense
-// wiring (the regular tests cover the sparse default): a mismatched
-// point-to-point program must still be named a deadlock, and a receive from
-// an exited peer must still fail cleanly instead of hanging.
-func TestDenseWiringDiagnostics(t *testing.T) {
-	dense := shortDog(zeroCost)
-	dense.Wiring = WiringDense
-
-	_, err := Run(2, dense, func(r *Rank) error {
-		data := r.Recv(1 - r.ID()) // both receive first: classic deadlock
-		r.Send(1-r.ID(), data)
-		return nil
-	})
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Errorf("dense wiring: expected DeadlockError, got %v", err)
-	}
-
-	_, err = Run(2, dense, func(r *Rank) error {
-		if r.ID() == 1 {
-			r.Recv(0)
+// TestRecvDrainsMessagesSentBeforeExit pins the delivery guarantee the exit
+// notification must preserve: messages queued before the sender exits are
+// received, in order, before a failed receive is reported.
+func TestRecvDrainsMessagesSentBeforeExit(t *testing.T) {
+	_, err := Run(2, zeroCost, func(r *Rank) error {
+		const n = 5
+		if r.ID() == 0 {
+			for i := 0; i < n; i++ {
+				r.Send(1, []float64{float64(i)})
+			}
+			return nil // exit immediately; rank 1 drains afterwards
 		}
+		time.Sleep(50 * time.Millisecond) // let rank 0 exit first
+		for i := 0; i < n; i++ {
+			if got := r.Recv(0); got[0] != float64(i) {
+				t.Errorf("message %d wrong or out of order: %v", i, got)
+			}
+		}
+		r.Recv(0) // nothing left: must fail cleanly, not hang
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "exited without sending") {
-		t.Errorf("dense wiring: expected exited-peer error, got %v", err)
+		t.Errorf("expected exited-peer error after drain, got %v", err)
 	}
 }
 
-// TestRecvDrainsMessagesSentBeforeExit pins the delivery guarantee the
-// sparse exit notification must preserve: messages queued before the sender
-// exits are received, in order, before a failed receive is reported.
-func TestRecvDrainsMessagesSentBeforeExit(t *testing.T) {
-	for _, w := range []Wiring{WiringSparse, WiringDense} {
-		cost := shortDog(zeroCost)
-		cost.Wiring = w
-		_, err := Run(2, cost, func(r *Rank) error {
-			const n = 5
-			if r.ID() == 0 {
-				for i := 0; i < n; i++ {
-					r.Send(1, []float64{float64(i)})
-				}
-				return nil // exit immediately; rank 1 drains afterwards
-			}
-			time.Sleep(50 * time.Millisecond) // let rank 0 exit first
-			for i := 0; i < n; i++ {
-				if got := r.Recv(0); got[0] != float64(i) {
-					t.Errorf("%v: message %d wrong or out of order: %v", w, i, got)
-				}
-			}
-			r.Recv(0) // nothing left: must fail cleanly, not hang
-			return nil
-		})
-		if err == nil || !strings.Contains(err.Error(), "exited without sending") {
-			t.Errorf("%v: expected exited-peer error after drain, got %v", w, err)
-		}
-	}
-}
-
-// TestActivePairsScalesWithPattern pins what sparse wiring buys: the wired
-// pair count follows the communication pattern, not p².
+// TestActivePairsScalesWithPattern pins what on-demand wiring buys: the
+// wired pair count follows the communication pattern, not p².
 func TestActivePairsScalesWithPattern(t *testing.T) {
 	const p = 64
 	c, err := NewCluster(p, Cost{})
@@ -161,33 +114,22 @@ func TestActivePairsScalesWithPattern(t *testing.T) {
 	if got := c.ActivePairs(); got != p {
 		t.Errorf("ring should wire exactly %d pairs, got %d", p, got)
 	}
-
-	d, err := NewCluster(8, Cost{Wiring: WiringDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.ActivePairs(); got != 64 {
-		t.Errorf("dense wiring reports p² pairs up front, got %d", got)
-	}
 }
 
 // TestSparseWiring16kRanks is the scale demonstration: a p=16384 cluster —
-// whose dense wiring would allocate ~268M queues before the first flop —
-// creates in milliseconds, runs a ring + hypercube exchange program, wires
+// where a dense p×p queue matrix would hold ~268M queues before the first
+// flop — creates in milliseconds, runs a ring + hypercube exchange program, wires
 // only pattern-many pairs, and produces the exact symmetric virtual time.
 func TestSparseWiring16kRanks(t *testing.T) {
 	if testing.Short() {
-		t.Skip("16384-goroutine cluster: skipped in -short")
+		t.Skip("16384-rank cluster: skipped in -short")
 	}
 	if raceEnabled {
 		t.Skip("race detector caps a process at 8192 goroutines")
 	}
 	const p = 16384 // 2^14
 	const k = 16
-	cost := Cost{
-		AlphaT: 1e-6, BetaT: 1e-9, ChanCap: 2,
-		WatchdogTimeout: 2 * time.Minute, // 16k goroutines on few cores: be patient
-	}
+	cost := Cost{AlphaT: 1e-6, BetaT: 1e-9, ChanCap: 2}
 	c, err := NewCluster(p, cost)
 	if err != nil {
 		t.Fatal(err)
@@ -220,6 +162,6 @@ func TestSparseWiring16kRanks(t *testing.T) {
 	// pairs (i → i^bit); the bit=1 round re-uses the ring's pair for every
 	// even i (i^1 == i+1), so p/2 of its pairs are already wired.
 	if got, want := c.ActivePairs(), 15*p-p/2; got != want {
-		t.Errorf("active pairs: got %d want %d (dense would be %d)", got, want, p*p)
+		t.Errorf("active pairs: got %d want %d (a dense matrix would be %d)", got, want, p*p)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // recObs is a test subscriber that keeps everything under one mutex (the
@@ -188,7 +187,7 @@ func TestObserverFaultEvents(t *testing.T) {
 			{Src: -1, Dst: -1, AlphaFactor: 4, BetaFactor: 2},
 		},
 	}
-	cost := Cost{AlphaT: 0.5, BetaT: 0.01, Faults: plan, Observers: []Observer{obs}, WatchdogTimeout: -1}
+	cost := Cost{AlphaT: 0.5, BetaT: 0.01, Faults: plan, Observers: []Observer{obs}}
 	if _, err := Run(2, cost, func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Send(1, make([]float64, 8))
@@ -373,14 +372,13 @@ func assertPathTiles(t *testing.T, res *Result) []Segment {
 	return path
 }
 
-// Satellite: the watchdog's DeadlockError carries a full cluster snapshot
+// The engine's DeadlockError carries a full cluster snapshot
 // and is emitted through the event bus.
 func TestDeadlockSnapshotAndBusEvent(t *testing.T) {
 	obs := newRecObs()
 	cost := Cost{
 		AlphaT: 0.1, BetaT: 0.01,
-		WatchdogTimeout: 200 * time.Millisecond,
-		Observers:       []Observer{obs},
+		Observers: []Observer{obs},
 	}
 	// Rank 0 sends to 1 then waits on 1; rank 1 never sends and waits on
 	// 0's second message: a deadlock with one undelivered message queued
@@ -438,10 +436,7 @@ func TestDeadlockSnapshotAndBusEvent(t *testing.T) {
 }
 
 func TestDeadlockSnapshotQueuedPairs(t *testing.T) {
-	cost := Cost{
-		AlphaT: 0.1, BetaT: 0.01,
-		WatchdogTimeout: 200 * time.Millisecond,
-	}
+	cost := Cost{AlphaT: 0.1, BetaT: 0.01}
 	// Rank 0 sends twice to 1 but rank 1 waits on rank 2 (who never
 	// sends): the two messages stay queued on pair 0→1.
 	_, err := Run(3, cost, func(r *Rank) error {

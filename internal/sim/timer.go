@@ -1,15 +1,12 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Virtual-time timers.
 //
 // A plain Recv blocks until a message arrives; when the message was lost
-// (a silent drop, a dead peer) it blocks forever and only the watchdog's
-// post-mortem abort ends the run. RecvTimeout and SendTimeout instead give
+// (a silent drop, a dead peer) it blocks forever and only the deadlock
+// abort at quiescence ends the run. RecvTimeout and SendTimeout instead give
 // the blocked operation a deadline in VIRTUAL time — clock + timeout — so
 // a resilience protocol can retransmit and keep the run alive.
 //
@@ -18,22 +15,20 @@ import (
 // per-rank clocks that advance when messages flow. The rules:
 //
 //   - A message beats the timer iff its arrival stamp is strictly below
-//     the deadline. A message that arrives (in real time) but is stamped
-//     at or after the deadline is pushed back — it stays the FIFO head
-//     for the pair and is returned by the next receive — and the
-//     operation times out. The decision is a pure function of virtual
-//     stamps, never of real-time interleaving.
+//     the deadline. A message that is queued but stamped at or after the
+//     deadline is pushed back — it stays the FIFO head for the pair and
+//     is returned by the next receive — and the operation times out. The
+//     decision is a pure function of virtual stamps, never of the order
+//     in which ranks happened to run.
 //   - A timer with no message to beat it may only fire when the cluster
-//     is quiescent: every live rank blocked for a full watchdog window
-//     with no deliverable message queued. Quiescence is exactly the
-//     condition under which the old watchdog declared deadlock — it is
+//     is quiescent: every live rank parked with nothing runnable. That is
 //     the only point where "no message with a smaller stamp can still
-//     arrive" is knowable. The watchdog then fires the single earliest
-//     armed timer (ties broken by rank id) and waits for fresh
-//     quiescence before firing the next; firing one at a time keeps the
-//     run a deterministic function of the program and the fault seed,
-//     because the fired rank's resumption can change which stamps every
-//     other blocked rank will observe.
+//     arrive" is knowable. The engine then fires the single earliest armed
+//     timer (ties broken by rank id) and waits for fresh quiescence before
+//     firing the next; firing one at a time keeps the run a deterministic
+//     function of the program and the fault seed, because the fired
+//     rank's resumption can change which stamps every other blocked rank
+//     will observe.
 //   - On expiry the rank's clock advances to the deadline and the idle
 //     span is accounted as WaitTime (a SegWait segment), so timeout-driven
 //     recovery is priced through the normal Eq. 1/Eq. 2 terms like any
@@ -158,29 +153,6 @@ func (r *Rank) emitTimer(kind TimerKind, peer int, op string, deadline float64) 
 	}
 }
 
-// armTimer publishes an armed virtual deadline to the watchdog and blocks
-// the rank's state word in a timer-aware op. The deadline store happens
-// before the state store, so a watchdog that samples the timer op always
-// reads a valid deadline.
-func (r *Rank) armTimer(op uint64, peer int, deadline float64) {
-	// Drain a stale fire token from a previous timer that resolved by
-	// message or peer exit after the watchdog had already released it.
-	select {
-	case <-r.cluster.timerCh[r.id]:
-	default:
-	}
-	r.cluster.timerDeadline[r.id].Store(math.Float64bits(deadline))
-	r.setState(op, peer)
-}
-
-// disarmTimer returns the rank to the running state and clears the
-// published deadline, in that order (the watchdog treats "timer op with
-// zero deadline" as a transition in flight, never as a dead rank).
-func (r *Rank) disarmTimer() {
-	r.setState(opRunning, 0)
-	r.cluster.timerDeadline[r.id].Store(0)
-}
-
 // takePushback pops the pushed-back head message for a pair, if any.
 func (r *Rank) takePushback(src int) (message, bool) {
 	msg, ok := r.pushback[src]
@@ -219,55 +191,7 @@ func (r *Rank) RecvTimeout(src int, timeout float64) ([]float64, RecvOutcome) {
 	if msg, ok := r.takePushback(src); ok {
 		return r.recvDecide(src, msg, deadline)
 	}
-	var msg message
-	var got, exited, fired bool
-	if e := r.cluster.eng; e != nil {
-		// The engine path owns its own fast dequeue try (and the wake of a
-		// sender parked on the reopened buffer).
-		msg, got, exited, fired = e.recvTimeoutEvent(r, src, deadline)
-		if got {
-			return r.recvDecide(src, msg, deadline)
-		}
-	} else {
-		ch := r.queueFrom(src).ch
-		select {
-		case msg := <-ch:
-			return r.recvDecide(src, msg, deadline)
-		default:
-		}
-		r.armTimer(opBlockedRecvTimer, src, deadline)
-		select {
-		case msg = <-ch:
-			got = true
-		case <-r.cluster.exitCh[src]:
-			exited = true
-		case <-r.cluster.timerCh[r.id]:
-			fired = true
-		case <-r.cluster.cancelCh:
-			panic(cancelPanic{})
-		case <-r.cluster.aborts[r.id]:
-			panic(abortPanic{err: r.cluster.abortErr[r.id]})
-		}
-		// Whatever woke the select, re-check in fixed priority order —
-		// message, peer exit, expiry — so a real-time race between a late
-		// enqueue, an exit notification and a fire token cannot change the
-		// outcome: the decision depends only on virtual state.
-		if !got {
-			select {
-			case msg = <-ch:
-				got = true
-			default:
-			}
-		}
-		if !got && !exited {
-			select {
-			case <-r.cluster.exitCh[src]:
-				exited = true
-			default:
-			}
-		}
-		r.disarmTimer()
-	}
+	msg, got, exited := r.cluster.eng.recvTimeoutEvent(r, src, deadline)
 	switch {
 	case got:
 		return r.recvDecide(src, msg, deadline)
@@ -275,7 +199,6 @@ func (r *Rank) RecvTimeout(src int, timeout float64) ([]float64, RecvOutcome) {
 		r.emitTimer(TimerCancelled, src, "recv", deadline)
 		return nil, RecvPeerExited
 	default:
-		_ = fired
 		r.emitTimer(TimerFired, src, "recv", deadline)
 		r.timeoutWait(src, deadline)
 		return nil, RecvTimedOut
@@ -307,17 +230,15 @@ func (r *Rank) PeerExit(id int) (exited bool, clean bool, err error) {
 	if id < 0 || id >= r.cluster.p {
 		panic(fmt.Sprintf("sim: rank %d querying invalid rank %d", r.id, id))
 	}
-	select {
-	case <-r.cluster.exitCh[id]:
-	default:
+	if !r.cluster.exited[id].Load() {
 		return false, false, nil
 	}
 	ei := r.cluster.exits[id]
 	return true, ei.status == exitClean, ei.err
 }
 
-// SendTimeout transmits like Send but bounds the real-time block on a
-// full pair buffer by the virtual deadline clock+timeout (the deadline is
+// SendTimeout transmits like Send but bounds the park on a full pair
+// buffer by the virtual deadline clock+timeout (the deadline is
 // taken after the send's α/β cost, which is always paid). A copy that
 // cannot be enqueued by the deadline — or whose receiver exited with the
 // buffer full — is lost; under a fault plan that duplicates the message
@@ -403,50 +324,7 @@ func (r *Rank) SendTimeout(dst int, data []float64, timeout float64) SendOutcome
 // It resolves the timer event for the whole SendTimeout: SendOK cancels
 // it, the failure outcomes fire or cancel it exactly once.
 func (r *Rank) deliverDeadline(dst int, m message, deadline float64) SendOutcome {
-	var sent, exited, fired bool
-	if e := r.cluster.eng; e != nil {
-		// The engine path tries the enqueue itself (and notifies a
-		// receiver parked on the empty pair).
-		sent, exited, fired = e.sendDeadlineEvent(r, dst, m, deadline)
-	} else {
-		ch := r.queueTo(dst).ch
-		select {
-		case ch <- m:
-			r.emitTimer(TimerCancelled, dst, "send", deadline)
-			return SendOK
-		default:
-		}
-		r.armTimer(opBlockedSendTimer, dst, deadline)
-		select {
-		case ch <- m:
-			sent = true
-		case <-r.cluster.exitCh[dst]:
-			exited = true
-		case <-r.cluster.timerCh[r.id]:
-			fired = true
-		case <-r.cluster.cancelCh:
-			panic(cancelPanic{})
-		case <-r.cluster.aborts[r.id]:
-			panic(abortPanic{err: r.cluster.abortErr[r.id]})
-		}
-		// Priority re-check, mirroring RecvTimeout: enqueue if space
-		// opened, then peer exit, then expiry.
-		if !sent {
-			select {
-			case ch <- m:
-				sent = true
-			default:
-			}
-		}
-		if !sent && !exited {
-			select {
-			case <-r.cluster.exitCh[dst]:
-				exited = true
-			default:
-			}
-		}
-		r.disarmTimer()
-	}
+	sent, exited := r.cluster.eng.sendDeadlineEvent(r, dst, m, deadline)
 	switch {
 	case sent:
 		r.emitTimer(TimerCancelled, dst, "send", deadline)
@@ -455,7 +333,6 @@ func (r *Rank) deliverDeadline(dst int, m message, deadline float64) SendOutcome
 		r.emitTimer(TimerCancelled, dst, "send", deadline)
 		return SendPeerExited
 	default:
-		_ = fired
 		r.emitTimer(TimerFired, dst, "send", deadline)
 		r.timeoutWait(dst, deadline)
 		return SendTimedOut
