@@ -260,10 +260,10 @@ func statusFor(plan *sim.FaultPlan) string {
 }
 
 // runDrops sweeps silent-drop rates against the ARQ endpoints: faults that
-// leave no evidence (no damaged frame, no duplicate — the class Reliable
-// cannot mask) are recovered by virtual-time retransmission, the product
-// stays bit-identical to the fault-free run, and the table prices what the
-// recovery waiting costs in time and Eq. 2 joules.
+// leave no evidence (no damaged frame, no duplicate — the class an untimed
+// endpoint cannot mask) are recovered by virtual-time retransmission, the
+// product stays bit-identical to the fault-free run, and the table prices
+// what the recovery waiting costs in time and Eq. 2 joules.
 func runDrops(emit func(*report.Table), m machine.Params, n int) {
 	const q = 4
 	t := report.NewTable(

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // The test binary re-executes itself with FAULTTOL_RUN_MAIN=1 so main()
 // runs exactly as shipped, flag parsing and exit codes included.
@@ -41,6 +44,31 @@ func TestDefaultPrintsEverything(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("default output missing %q", want)
 		}
+	}
+}
+
+// TestE23Golden pins the ABFT and checkpoint tables (E23a/E23b) byte for
+// byte: every simulated time, priced joule, error and status row. A change
+// to the reliable transport under them must leave this file untouched.
+// Rewrite it with `go test ./cmd/faulttol -run TestE23Golden -update`.
+func TestE23Golden(t *testing.T) {
+	got := runFaulttol(t, "-abft", "-ckpt")
+	path := filepath.Join("testdata", "e23.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s:\n--- got\n%s\n--- want\n%s", path, got, want)
 	}
 }
 

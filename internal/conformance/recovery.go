@@ -35,7 +35,7 @@ var (
 )
 
 // recoveryFaults is the chaos plan for one seed: silent drops (the fault
-// class Reliable cannot mask and ARQ exists for) plus duplication and
+// class only a timed ARQ endpoint masks) plus duplication and
 // corruption on every link at once.
 func recoveryFaults(seed uint64) *sim.FaultPlan {
 	return &sim.FaultPlan{

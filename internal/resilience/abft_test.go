@@ -111,8 +111,8 @@ func TestABFTToleratesCorruptReplicationLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the fiber-replication link (0,0,0) -> (0,0,1); the Reliable
-	// channel must retransmit until a clean copy lands.
+	// Corrupt the fiber-replication link (0,0,0) -> (0,0,1); the reliable
+	// endpoint must retransmit until a clean copy lands.
 	cost := testCost()
 	cost.Faults = &sim.FaultPlan{
 		Seed:  8,

@@ -7,11 +7,11 @@ import (
 	"perfscale/internal/sim"
 )
 
-// ARQ is the timer-aware second generation of the reliable endpoint: where
-// Reliable can only mask faults that leave evidence (a damaged frame, a
-// duplicate), ARQ also masks silent drops, because the virtual-time timeout
-// primitives let it notice absence. On top of Reliable's frame grammar it
-// adds
+// ARQ is the package's reliable endpoint: a per-rank wrapper adding typed
+// frames, sequence numbers, checksums and acknowledgements (frame.go) to
+// the raw simulator channels. Checksums and sequence numbers mask the
+// corruption and duplication a sim.FaultPlan injects; the virtual-time
+// timeout primitives add
 //
 //   - retransmission on timeout: every ack wait is a RecvTimeout with a
 //     deterministic RTO; expiry retransmits the outstanding frame and backs
@@ -35,8 +35,15 @@ import (
 // other work, and every decision is a function of virtual state — two runs
 // with the same seeds produce bit-identical stats and retransmit counts.
 //
-// Like Reliable, conversations must be pairwise nested (tree collectives
-// are safe, rings are not), and both endpoints of a pair must speak ARQ.
+// An infinite RTO (ARQConfig{RTO: math.Inf(1)}) makes every timer
+// infinite, and a +Inf deadline never fires: the endpoint then masks only
+// faults that leave evidence, a silently dropped frame ends in the
+// runtime's DeadlockError, and an observed peer exit is still a
+// *PeerFailure. ABFT25D and RunCheckpointed run on this untimed endpoint.
+//
+// Conversations must be pairwise nested (tree collectives are safe, rings
+// are not), and both endpoints of a pair must speak ARQ; the framing is
+// not compatible with raw Rank.Send/Recv.
 type ARQ struct {
 	r        *sim.Rank
 	cfg      ARQConfig
@@ -50,7 +57,8 @@ type ARQ struct {
 // durations are virtual seconds.
 type ARQConfig struct {
 	// RTO is the initial retransmission timeout of an ack wait. Must be
-	// positive; ARQDefaults derives it from the cost model.
+	// positive; ARQDefaults derives it from the cost model, and +Inf
+	// disables every timer (see ARQ).
 	RTO float64
 	// Backoff multiplies the RTO after every consecutive expiry (default 2).
 	Backoff float64
@@ -350,8 +358,10 @@ func (a *ARQ) Send(dst int, data []float64) error {
 		case framePong, frameBeat:
 			// Liveness only; the reset above already consumed it.
 		default:
-			// Damaged beyond classification: cover both possibilities,
-			// like Reliable does.
+			// Damaged beyond classification: it may have been our ack or
+			// the peer's data. Cover both: retransmit the outstanding
+			// frame and ask for a retransmission of whatever the peer may
+			// have in flight.
 			a.stats.Retransmits++
 			if err := a.xmit(dst, frame); err != nil {
 				return err
@@ -363,8 +373,11 @@ func (a *ARQ) Send(dst int, data []float64) error {
 	}
 }
 
-// acceptData is Reliable.acceptData with the error-returning contract and
-// the configured pending bound.
+// acceptData handles a valid incoming data frame outside Recv: duplicates
+// are re-acknowledged (their ack may have been damaged), in-order data is
+// buffered for a later Recv, up to the configured pending bound. It does
+// not acknowledge buffered data — the matching Recv does, which keeps the
+// peer's ack-wait alive until this endpoint has genuinely caught up.
 func (a *ARQ) acceptData(peer int, f []float64) error {
 	seq := int(f[1])
 	switch expected := a.nextRecv[peer]; {
@@ -472,6 +485,43 @@ func (a *ARQ) Recv(src int) ([]float64, error) {
 func (a *ARQ) Heartbeat(dst int) error {
 	a.stats.BeatsSent++
 	return a.xmit(dst, ctlFrame(kindBeat, 0))
+}
+
+// AllReduceSum combines every rank's equal-length vector elementwise over a
+// binomial tree carried entirely on ARQ transfers — a reduce to rank 0,
+// then a Bcast of the sum back — so a corrupted link cannot silently alter
+// the result. The crash-bitmap failure detection of ABFT25D and
+// RunCheckpointed rides on this: a detector that can be corrupted into
+// seeing phantom crashes would desynchronize the recovery protocol. Every
+// rank of the cluster must call it in the same program position.
+func (a *ARQ) AllReduceSum(data []float64) ([]float64, error) {
+	r := a.r
+	p, me := r.P(), r.ID()
+	acc := make([]float64, len(data))
+	copy(acc, data)
+	for bit := 1; bit < p; bit <<= 1 {
+		if me&bit != 0 {
+			if err := a.Send(me&^bit, acc); err != nil {
+				return nil, err
+			}
+			break
+		}
+		if partner := me | bit; partner < p {
+			contrib, err := a.Recv(partner)
+			if err != nil {
+				return nil, err
+			}
+			r.Compute(float64(len(acc)))
+			for i, v := range contrib {
+				acc[i] += v
+			}
+		}
+	}
+	world := make([]int, p)
+	for i := range world {
+		world[i] = i
+	}
+	return a.Bcast(world, 0, acc)
 }
 
 // Bcast broadcasts root's data to every member over a binomial tree of

@@ -47,7 +47,7 @@ func TestARQDeliversInOrder(t *testing.T) {
 	}
 }
 
-// TestARQMasksSilentDrops is the capability Reliable lacks: silently
+// TestARQMasksSilentDrops is the capability the untimed endpoint lacks: silently
 // dropped frames — in both the data and the ack direction — are recovered
 // by timeout-driven retransmission instead of hanging until the watchdog
 // aborts the run.
@@ -199,34 +199,9 @@ func TestARQHeartbeatCoversLongCompute(t *testing.T) {
 	}
 }
 
-// TestReliablePendingOverflow forges in-order DATA frames from a raw peer
-// at a Reliable endpoint parked in an ack wait, and checks the buffer cap
-// converts unbounded growth into a typed error instead of an OOM.
-func TestReliablePendingOverflow(t *testing.T) {
-	const forged = resilience.DefaultMaxPending + 1
-	_, err := sim.Run(2, arqCost(), func(r *sim.Rank) error {
-		if r.ID() == 1 {
-			// A buggy peer: streams frames, never consumes, never acks.
-			for i := 0; i < forged; i++ {
-				r.Send(0, resilience.DataFrame(i, []float64{float64(i)}))
-			}
-			return nil
-		}
-		rel := resilience.NewReliable(r)
-		rel.Send(1, []float64{1}) // parks rank 0 in the ack wait
-		return errors.New("ack wait ended without an overflow")
-	})
-	var poe *resilience.PendingOverflowError
-	if !errors.As(err, &poe) {
-		t.Fatalf("want *PendingOverflowError in %v", err)
-	}
-	if poe.Rank != 0 || poe.Peer != 1 || poe.Limit != resilience.DefaultMaxPending {
-		t.Errorf("overflow misattributed: %+v", poe)
-	}
-}
-
-// TestARQPendingOverflow checks the ARQ endpoint enforces the same bound
-// through its error-returning contract.
+// TestARQPendingOverflow forges in-order DATA frames from a raw peer at an
+// endpoint parked in an ack wait, and checks the buffer cap converts
+// unbounded growth into a typed error instead of an OOM.
 func TestARQPendingOverflow(t *testing.T) {
 	cfg := resilience.ARQDefaults(arqCost(), 1)
 	cfg.MaxPending = 8
@@ -244,8 +219,8 @@ func TestARQPendingOverflow(t *testing.T) {
 	if !errors.As(err, &poe) {
 		t.Fatalf("want *PendingOverflowError in %v", err)
 	}
-	if poe.Limit != cfg.MaxPending {
-		t.Errorf("want configured limit %d, got %+v", cfg.MaxPending, poe)
+	if poe.Rank != 0 || poe.Peer != 1 || poe.Limit != cfg.MaxPending {
+		t.Errorf("want rank 0 overflowed by peer 1 at the configured limit %d, got %+v", cfg.MaxPending, poe)
 	}
 }
 

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"fmt"
+	"math"
 
 	"perfscale/internal/sim"
 )
@@ -20,10 +21,10 @@ type CheckpointResult struct {
 // it).
 //
 // Every `every` iterations each rank snapshots its state and ships the
-// snapshot to its buddy, rank (id+1) mod p, over the checksummed Reliable
-// channel (so a corrupted checkpoint transfer is retransmitted, never
-// silently kept). After every step a world all-reduce of a p-word crash
-// bitmap detects casualties; on detection the buddies re-seed the crashed
+// snapshot to its buddy, rank (id+1) mod p, over the checksummed ARQ
+// endpoint with its timers disabled (so a corrupted checkpoint transfer is
+// retransmitted, never silently kept). After every step a world all-reduce
+// of a p-word crash bitmap detects casualties; on detection the buddies re-seed the crashed
 // ranks' snapshots and every rank — crashed or not — rolls back to the last
 // checkpoint and re-executes, which keeps the global state consistent. The
 // repeated iterations, snapshot traffic and detection all-reduces flow
@@ -48,7 +49,7 @@ func RunCheckpointed(cost sim.Cost, p, iters, every int,
 	finals := make([][]float64, p)
 	res, err := sim.Run(p, cost, func(r *sim.Rank) error {
 		w := r.World()
-		rel := NewReliable(r)
+		arq := NewARQ(r, ARQConfig{RTO: math.Inf(1)})
 		id := r.ID()
 		buddy := (id + 1) % p
 		ward := (id - 1 + p) % p
@@ -61,24 +62,29 @@ func RunCheckpointed(cost sim.Cost, p, iters, every int,
 		// exchange ships myCkpt around the ring: rank rnd sends while rank
 		// rnd+1 receives, serialized so the blocking ack protocol never
 		// forms a cycle. O(p) latency per checkpoint — simple and correct.
-		exchange := func() {
-			for rnd := 0; rnd < p; rnd++ {
-				if id == rnd {
-					rel.Send(buddy, myCkpt)
-				}
-				if id == (rnd+1)%p {
-					wardCkpt = rel.Recv(ward)
+		// A single rank has no buddy and exchanges nothing.
+		exchange := func() (err error) {
+			for rnd := 0; p > 1 && rnd < p && err == nil; rnd++ {
+				switch id {
+				case rnd:
+					err = arq.Send(buddy, myCkpt)
+				case (rnd + 1) % p:
+					wardCkpt, err = arq.Recv(ward)
 				}
 			}
+			return err
 		}
-		if p > 1 {
-			exchange()
+		if err := exchange(); err != nil {
+			return err
 		}
 
 		for i := 0; i < iters; {
 			state = step(r, w, i, state)
 			i++
-			bitmap := crashBitmap(rel)
+			bitmap, err := crashBitmap(arq)
+			if err != nil {
+				return err
+			}
 			var crashed []int
 			for cid, v := range bitmap {
 				if v > 0 {
@@ -89,8 +95,8 @@ func RunCheckpointed(cost sim.Cost, p, iters, every int,
 				if i%every == 0 && i < iters {
 					myCkpt = cloneState(state)
 					ckptIter = i
-					if p > 1 {
-						exchange()
+					if err := exchange(); err != nil {
+						return err
 					}
 				}
 				continue
@@ -111,10 +117,13 @@ func RunCheckpointed(cost sim.Cost, p, iters, every int,
 					return fmt.Errorf("resilience: rank %d unrecoverable: its buddy rank %d crashed in the same round", d, db)
 				}
 				if id == db {
-					rel.Send(d, wardCkpt)
+					err = arq.Send(d, wardCkpt)
 				}
 				if id == d {
-					myCkpt = rel.Recv(db)
+					myCkpt, err = arq.Recv(db)
+				}
+				if err != nil {
+					return err
 				}
 			}
 			// Phase 2: re-seed each casualty's ward snapshot from the ward's
@@ -122,10 +131,13 @@ func RunCheckpointed(cost sim.Cost, p, iters, every int,
 			for _, d := range crashed {
 				dw := (d - 1 + p) % p
 				if id == dw && dw != d {
-					rel.Send(d, myCkpt)
+					err = arq.Send(d, myCkpt)
 				}
 				if id == d && dw != d {
-					wardCkpt = rel.Recv(dw)
+					wardCkpt, err = arq.Recv(dw)
+				}
+				if err != nil {
+					return err
 				}
 			}
 			// Coordinated rollback: every rank returns to the checkpointed

@@ -7,11 +7,13 @@
 //
 // Three layers:
 //
-//   - Reliable: a checksummed, acknowledged point-to-point channel that
-//     masks message corruption and duplication injected by a sim.FaultPlan.
-//     It has no timers (virtual time has no timeouts), so unbounded message
-//     loss is not retransmitted — a dropped packet leaves both ends blocked
-//     and the runtime converts the hang into a DeadlockError.
+//   - ARQ: the one reliable endpoint, a checksummed, acknowledged
+//     point-to-point channel that masks the message corruption and
+//     duplication a sim.FaultPlan injects and, with finite virtual-time
+//     timeouts, silent drops and peer failures too. With an infinite RTO
+//     it runs untimed: a dropped packet leaves both ends blocked and the
+//     runtime converts the hang into a DeadlockError. The two layers below
+//     use it that way.
 //
 //   - ABFT25D: the 2.5D SUMMA matrix multiply of internal/matmul hardened
 //     against rank crashes. The 2.5D algorithm's replication factor c is
@@ -25,9 +27,10 @@
 //
 //   - RunCheckpointed: in-memory buddy checkpointing with coordinated
 //     rollback for iterative SPMD kernels. Each rank ships its state to a
-//     buddy every k iterations over Reliable; when the per-step failure
-//     detection (a world all-reduce of a crash bitmap) reports a casualty,
-//     every rank rolls back to the last checkpoint and re-executes.
+//     buddy every k iterations over the untimed ARQ; when the per-step
+//     failure detection (a world all-reduce of a crash bitmap) reports a
+//     casualty, every rank rolls back to the last checkpoint and
+//     re-executes.
 //
 // Crash semantics follow sim.FaultPlan with Respawn: a crashed rank loses
 // its application data (the implementations scrub it to NaN so an

@@ -1,5 +1,5 @@
 package resilience
 
 // DataFrame exposes the wire encoding to tests that forge raw frames at a
-// Reliable or ARQ endpoint from a raw sim.Rank peer.
+// reliable endpoint from a raw sim.Rank peer.
 func DataFrame(seq int, payload []float64) []float64 { return dataFrame(seq, payload) }

@@ -4,14 +4,13 @@ import (
 	"math"
 	"testing"
 
-	"perfscale/internal/resilience"
 	"perfscale/internal/sim"
 )
 
 // The critical path must tile [0, T] exactly even when the timeline is
 // shaped by fault-driven retransmissions: every retransmitted frame is an
 // ordinary send/wait pair, so the backward walk must keep working through
-// the extra traffic the Reliable protocol generates.
+// the extra traffic the untimed reliable endpoint generates.
 //
 // Pair (0,1) drops primaries but duplicates every message (DupProb = 1):
 // the surviving copy keeps the timer-free protocol alive — a sole dropped
@@ -35,31 +34,35 @@ func TestCriticalPathTilesUnderDropsAndRetransmits(t *testing.T) {
 			{Src: 3, Dst: 2, CorruptProb: 0.15},
 		},
 	}
-	// Even ranks lead, odd ranks answer: Reliable.Send blocks for its
+	// Even ranks lead, odd ranks answer: ARQ.Send blocks for its
 	// ack, so the conversation must pair up (an all-send-first ring would
 	// deadlock by construction, faults or not).
 	const msgs = 12
 	program := func(r *sim.Rank) error {
-		rel := resilience.NewReliable(r)
+		rel := untimed(r)
 		partner := r.ID() ^ 1
 		for i := 0; i < msgs; i++ {
 			if r.ID()%2 == 0 {
-				rel.Send(partner, []float64{float64(i)})
-				got := rel.Recv(partner)
-				if len(got) != 1 || got[0] != float64(2*i) {
-					return nil
+				if err := rel.Send(partner, []float64{float64(i)}); err != nil {
+					return err
+				}
+				got, err := rel.Recv(partner)
+				if err != nil || len(got) != 1 || got[0] != float64(2*i) {
+					return err
 				}
 			} else {
-				got := rel.Recv(partner)
-				if len(got) != 1 || got[0] != float64(i) {
-					return nil
+				got, err := rel.Recv(partner)
+				if err != nil || len(got) != 1 || got[0] != float64(i) {
+					return err
 				}
-				rel.Send(partner, []float64{float64(2 * i)})
+				if err := rel.Send(partner, []float64{float64(2 * i)}); err != nil {
+					return err
+				}
 			}
 			r.Compute(64)
 		}
-		rel.AllReduceSum([]float64{1})
-		return nil
+		_, err := rel.AllReduceSum([]float64{1})
+		return err
 	}
 	res, err := sim.Run(4, cost, program)
 	if err != nil {

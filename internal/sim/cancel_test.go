@@ -41,11 +41,13 @@ func TestCancelStopsComputeLoop(t *testing.T) {
 	}()
 	res, err := RunContext(ctx, 4, Cost{GammaT: 1e-9}, func(r *Rank) error {
 		for {
+			r.Compute(1000)
+			// Signal only after rank 0's first Compute has been counted,
+			// so the cancel cannot land before any flops are recorded.
 			if r.ID() == 0 && once != nil {
 				close(once)
 				once = nil
 			}
-			r.Compute(1000)
 		}
 	})
 	if err == nil {

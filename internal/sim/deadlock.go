@@ -9,10 +9,10 @@ import (
 // Deadlock diagnostics. The event engine knows the exact instant the
 // cluster is quiescent — every live rank parked, nothing runnable — and
 // the simulation has no external inputs, so at that point nothing except a
-// virtual timer (timer.go) can ever release a parked rank. With zero armed
-// timers the run is deadlocked, and each parked rank is aborted with a
-// DeadlockError naming who waits on whom and a snapshot of the whole
-// cluster. A rank parked in a plain send to a peer that already exited can
+// finite virtual timer (timer.go) can ever release a parked rank. With no
+// finite timer armed the run is deadlocked, and each parked rank is
+// aborted with a DeadlockError naming who waits on whom and a snapshot of
+// the whole cluster. A rank parked in a plain send to a peer that already exited can
 // never be released either, so that case is aborted at the first
 // quiescence after the exit (timed sends handle peer exit themselves).
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -566,6 +567,13 @@ func (e *eventEngine) quiesce() {
 		if e.c.pairOf(id, peer).length() < e.c.bufCap {
 			continue // space opened; the send completes by itself
 		}
+		if e.c.cancelled.Load() {
+			// The peer most likely exited because of the cancel: unwind
+			// as cancelled, not with a send-to-exited verdict.
+			e.wake(id, evCancel)
+			woke = true
+			continue
+		}
 		if snap == nil {
 			snap = e.snapshotLocked()
 		}
@@ -580,11 +588,12 @@ func (e *eventEngine) quiesce() {
 	}
 	// (3) Fire the single earliest armed virtual timer (ties to the
 	// lowest rank id) — one per quiescence round, the timer.go rule that
-	// keeps timeout-driven runs deterministic.
+	// keeps timeout-driven runs deterministic. A +Inf deadline never
+	// expires, so its rank counts as plainly blocked.
 	best, bestD := -1, 0.0
 	for id := range e.ranks {
 		rk := &e.ranks[id]
-		if rk.runnable || (rk.op != opBlockedRecvTimer && rk.op != opBlockedSendTimer) {
+		if rk.runnable || (rk.op != opBlockedRecvTimer && rk.op != opBlockedSendTimer) || math.IsInf(rk.deadline, 1) {
 			continue
 		}
 		if best < 0 || rk.deadline < bestD {
@@ -595,7 +604,7 @@ func (e *eventEngine) quiesce() {
 		e.wake(best, evTimerFire)
 		return
 	}
-	// (4) Deadlock: zero armed timers, nothing deliverable. Abort every
+	// (4) Deadlock: no finite timer armed, nothing deliverable. Abort every
 	// blocked rank with the shared wait graph and snapshot.
 	graph := e.waitGraphLocked()
 	if snap == nil {

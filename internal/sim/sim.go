@@ -517,9 +517,12 @@ func (r *Rank) Recv(src int) []float64 {
 // finishRecvOrFail completes a receive: prices the message in hand, or —
 // when the peer exited with nothing further queued (ok false) — panics
 // naming the root cause. The exit publication happens-before the failed
-// receive observing it, so the peer's exit record is safe to read.
+// receive observing it, so the peer's exit record is safe to read. In a
+// cancelled run the peer most likely exited because of the cancel, so the
+// receiver unwinds as cancelled too rather than reporting a cascade.
 func (r *Rank) finishRecvOrFail(src int, msg message, ok bool) []float64 {
 	if !ok {
+		r.cancelCheck()
 		switch ei := r.cluster.exits[src]; ei.status {
 		case exitClean:
 			panic(fmt.Sprintf("sim: rank %d receiving from rank %d, which exited without sending (clean exit; mismatched communication pattern?)", r.id, src))

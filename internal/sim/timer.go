@@ -34,8 +34,11 @@ import "fmt"
 //     recovery is priced through the normal Eq. 1/Eq. 2 terms like any
 //     other wait.
 //
-// Deadlock is still declared — but only at quiescence with zero armed
-// timers, so a retransmit/backoff cycle in flight counts as liveness.
+// Deadlock is still declared — but only at quiescence with no finite
+// timer armed, so a retransmit/backoff cycle in flight counts as liveness.
+// A +Inf timeout arms a timer that never fires: its operation waits like a
+// plain one, and a wedge with only such timers left ends in the same
+// DeadlockError.
 
 // RecvOutcome says how a RecvTimeout resolved.
 type RecvOutcome int

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -376,4 +378,71 @@ func TestTimedRunsAreDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// infDeadlock runs fn under an observer and checks the +Inf-deadline
+// contract: the run ends in a deadlock abort whose error for rank `rank`
+// is a *DeadlockError with the given Op, no timer ever fires, and every
+// clock stays finite.
+func infDeadlock(t *testing.T, p, chanCap, rank int, op string, fn func(r *Rank) error) {
+	t.Helper()
+	obs := newRecObs()
+	cost := unitCost
+	cost.ChanCap = chanCap
+	cost.Observers = []Observer{obs}
+	res, err := Run(p, cost, fn)
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("want a *DeadlockError, got %v", err)
+	}
+	found := false
+	for _, ev := range obs.deadlocks {
+		if ev.Err.Rank == rank {
+			found = true
+			if ev.Err.Op != op {
+				t.Errorf("rank %d deadlock op %q, want %q", rank, ev.Err.Op, op)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("no deadlock verdict for rank %d: %+v", rank, obs.deadlocks)
+	}
+	for _, ev := range obs.timers {
+		if ev.Kind == TimerFired {
+			t.Errorf("a +Inf timer fired: %+v", ev)
+		}
+	}
+	for id, st := range res.PerRank {
+		if math.IsInf(st.Time, 0) || math.IsNaN(st.Time) {
+			t.Errorf("rank %d clock %g, want finite", id, st.Time)
+		}
+	}
+}
+
+func TestInfiniteRecvTimeoutDeadlocks(t *testing.T) {
+	// A mutual timed receive with +Inf timeouts: neither timer can ever
+	// expire, so the wedge is a deadlock exactly like a mutual Recv.
+	infDeadlock(t, 2, 0, 0, "recv", func(r *Rank) error {
+		r.Compute(1)
+		r.RecvTimeout(1-r.ID(), math.Inf(1))
+		return nil
+	})
+}
+
+func TestInfiniteSendTimeoutDeadlocks(t *testing.T) {
+	// Rank 0 fills its 1-slot pair to rank 1 and blocks in a +Inf timed
+	// send; rank 1 wedges in a mutual Recv with rank 2 and never drains
+	// the buffer. The send must end in the deadlock verdict, not fire.
+	infDeadlock(t, 3, 1, 0, "send", func(r *Rank) error {
+		switch r.ID() {
+		case 0:
+			r.Send(1, []float64{1})
+			r.SendTimeout(1, []float64{2}, math.Inf(1))
+		case 1:
+			r.Recv(2)
+		case 2:
+			r.Recv(1)
+		}
+		return nil
+	})
 }
