@@ -1,7 +1,7 @@
-// Command powerprofile runs a distributed algorithm with tracing enabled
-// and reports what the paper's average-power analysis cannot see: the
-// time-resolved machine power (peak vs average), the critical path through
-// the message graph, and per-rank utilization.
+// Command powerprofile runs a distributed algorithm with an event-bus
+// collector subscribed and reports what the paper's average-power analysis
+// cannot see: the time-resolved machine power (peak vs average), the
+// critical path through the message graph, and per-rank utilization.
 //
 // Usage:
 //
@@ -16,11 +16,11 @@ import (
 	"fmt"
 	"os"
 
-	"perfscale/internal/core"
 	"perfscale/internal/machine"
 	"perfscale/internal/matmul"
 	"perfscale/internal/matrix"
 	"perfscale/internal/nbody"
+	"perfscale/internal/obs"
 	"perfscale/internal/report"
 	"perfscale/internal/sim"
 )
@@ -66,11 +66,14 @@ func run() int {
 
 func profile(w *report.ErrWriter, m machine.Params, alg string, n, p, q, c, buckets int) int {
 	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
-		MaxMsgWords: int(m.MaxMsgWords), Trace: true}
+		MaxMsgWords: int(m.MaxMsgWords)}
 
 	var res *sim.Result
+	var col *obs.Collector
 	switch alg {
 	case "matmul":
+		col = obs.NewCollector(q * q * c)
+		cost.Observers = []sim.Observer{col}
 		a := matrix.Random(n, n, 1)
 		b := matrix.Random(n, n, 2)
 		run, err := matmul.TwoPointFiveD(cost, q, c, a, b)
@@ -80,6 +83,8 @@ func profile(w *report.ErrWriter, m machine.Params, alg string, n, p, q, c, buck
 		}
 		res = run.Sim
 	case "nbody":
+		col = obs.NewCollector(p)
+		cost.Observers = []sim.Observer{col}
 		bodies := nbody.RandomBodies(n, 3)
 		run, err := nbody.Replicated(cost, p, c, bodies)
 		if err != nil {
@@ -95,12 +100,12 @@ func profile(w *report.ErrWriter, m machine.Params, alg string, n, p, q, c, buck
 	w.Printf("%s on %s: simulated T = %s s\n\n", alg, m.Name, report.FormatFloat(res.Time()))
 
 	// Critical path.
-	path := res.Trace.CriticalPath()
-	bd := sim.PathBreakdown(path)
+	path := obs.CriticalPath(col)
+	bd := obs.PathBreakdown(path)
 	t := report.NewTable("Critical path (the chain that sets the runtime)",
 		"component", "seconds", "share")
 	total := res.Time()
-	for _, k := range []sim.SegmentKind{sim.SegCompute, sim.SegSend, sim.SegWait, sim.SegRecv} {
+	for _, k := range []obs.Kind{obs.KindCompute, obs.KindSend, obs.KindWait, obs.KindRecv} {
 		if bd[k] > 0 {
 			t.AddRow(k.String(), bd[k], fmt.Sprintf("%.1f%%", 100*bd[k]/total))
 		}
@@ -109,7 +114,7 @@ func profile(w *report.ErrWriter, m machine.Params, alg string, n, p, q, c, buck
 	w.Println(t.Render())
 
 	// Utilization.
-	u := res.Trace.Utilization(res.Time())
+	u := obs.Utilization(col, res.Time())
 	lo, hi, avg := 1.0, 0.0, 0.0
 	for _, v := range u {
 		if v < lo {
@@ -125,10 +130,10 @@ func profile(w *report.ErrWriter, m machine.Params, alg string, n, p, q, c, buck
 		100*lo, 100*avg, 100*hi, len(u))
 
 	// Timeline.
-	w.Println(res.Trace.RenderGantt(res.Time(), 72))
+	w.Println(obs.RenderGantt(col, res.Time(), 72))
 
 	// Power profile.
-	prof, err := core.Profile(m, res, buckets)
+	prof, err := obs.NewPowerProfile(m, res, col, buckets)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // The test binary re-executes itself with POWERPROFILE_RUN_MAIN=1 so main()
 // runs exactly as shipped, flag parsing and exit codes included.
@@ -70,5 +73,36 @@ func TestWriteFailureExitsNonZero(t *testing.T) {
 	}
 	if !strings.Contains(out, "powerprofile:") {
 		t.Fatalf("no write-failure diagnostic:\n%s", out)
+	}
+}
+
+// TestGolden pins the whole report at default flags, byte for byte: the
+// critical-path table, utilization line, Gantt chart and power profile.
+// Rewrite with `go test ./cmd/powerprofile -run TestGolden -update`.
+func TestGolden(t *testing.T) {
+	for _, alg := range []string{"matmul", "nbody"} {
+		t.Run(alg, func(t *testing.T) {
+			got, code := runPowerprofile(t, "-alg", alg)
+			if code != 0 {
+				t.Fatalf("exit %d:\n%s", code, got)
+			}
+			path := filepath.Join("testdata", alg+".golden")
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file (run with -update): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("output differs from %s:\n--- got\n%s\n--- want\n%s", path, got, want)
+			}
+		})
 	}
 }

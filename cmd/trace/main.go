@@ -93,7 +93,6 @@ func main() {
 	}
 
 	traced := cost
-	traced.Trace = true
 	col := obs.NewCollector(ranks)
 	ring := obs.NewRingBuffer(*tail)
 	traced.Observers = []sim.Observer{col, ring}

@@ -25,7 +25,7 @@ func report() string {
 	m := machine.SimDefault()
 	const q, c, n = 4, 2, 32 // p = q²·c = 32 ranks
 	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
-		MaxMsgWords: int(m.MaxMsgWords), Trace: true}
+		MaxMsgWords: int(m.MaxMsgWords)}
 	col := obs.NewCollector(q * q * c)
 	cost.Observers = []sim.Observer{col}
 

@@ -53,7 +53,6 @@ func testFaults() *sim.FaultPlan {
 func runCollected(t *testing.T, faults *sim.FaultPlan) (*sim.Result, *obs.Collector) {
 	t.Helper()
 	cost := testCost()
-	cost.Trace = true
 	cost.Faults = faults
 	col := obs.NewCollector(4)
 	cost.Observers = []sim.Observer{col}
@@ -333,10 +332,10 @@ func TestSummaryPairsAndPath(t *testing.T) {
 		t.Errorf("matrix words %g, stats %g", words, total)
 	}
 	if len(s.Path) == 0 {
-		t.Fatal("no critical path on a traced run")
+		t.Fatal("no critical path on a collected run")
 	}
 	pathDur := 0.0
-	for _, kind := range []sim.SegmentKind{sim.SegCompute, sim.SegSend, sim.SegRecv, sim.SegWait} {
+	for _, kind := range []obs.Kind{obs.KindCompute, obs.KindSend, obs.KindRecv, obs.KindWait} {
 		pathDur += s.PathTime[kind]
 	}
 	if T := res.Time(); math.Abs(pathDur-T) > 1e-9*T {

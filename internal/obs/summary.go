@@ -37,15 +37,15 @@ type Summary struct {
 	// Path is the run's critical path and PathEnergy the dynamic energy of
 	// the work on it (compute γe·F, sends βe·W + αe·S; the static δe·M·T +
 	// εe·T terms accrue machine-wide regardless of the path, so they are
-	// not attributed to it). Both are nil/zero for untraced runs.
-	Path       []sim.Segment
+	// not attributed to it). Both are nil/zero without a Collector.
+	Path       []Event
 	PathEnergy core.EnergyBreakdown
 	// PathTime decomposes the path's duration by segment kind.
-	PathTime map[sim.SegmentKind]float64
+	PathTime map[Kind]float64
 }
 
-// NewSummary prices a finished run. col may be nil (no communication
-// matrix); res.Trace may be nil (no critical-path attribution).
+// NewSummary prices a finished run. col may be nil: then there is no
+// communication matrix and no critical-path attribution.
 func NewSummary(m machine.Params, res *sim.Result, col *Collector) *Summary {
 	s := &Summary{
 		P:       len(res.PerRank),
@@ -73,20 +73,19 @@ func NewSummary(m machine.Params, res *sim.Result, col *Collector) *Summary {
 		s.Total.Memory += e.Memory
 		s.Total.Leakage += e.Leakage
 	}
-	if col != nil {
-		s.Pairs = pairTraffic(col)
+	if col == nil {
+		return s
 	}
-	if res.Trace != nil {
-		s.Path = res.Trace.CriticalPath()
-		s.PathTime = sim.PathBreakdown(s.Path)
-		for _, seg := range s.Path {
-			switch seg.Kind {
-			case sim.SegCompute:
-				s.PathEnergy.Compute += m.GammaE * seg.Flops
-			case sim.SegSend:
-				s.PathEnergy.Bandwidth += m.BetaE * float64(seg.Words)
-				s.PathEnergy.Latency += m.AlphaE * seg.Msgs
-			}
+	s.Pairs = pairTraffic(col)
+	s.Path = CriticalPath(col)
+	s.PathTime = PathBreakdown(s.Path)
+	for _, e := range s.Path {
+		switch e.Kind {
+		case KindCompute:
+			s.PathEnergy.Compute += m.GammaE * e.Flops
+		case KindSend:
+			s.PathEnergy.Bandwidth += m.BetaE * float64(e.Words)
+			s.PathEnergy.Latency += m.AlphaE * e.Msgs
 		}
 	}
 	return s
@@ -190,7 +189,7 @@ func (s *Summary) WriteText(w io.Writer) error {
 	}
 	if s.Path != nil {
 		fmt.Fprintf(w, "critical path: %d segments", len(s.Path))
-		for _, kind := range []sim.SegmentKind{sim.SegCompute, sim.SegSend, sim.SegRecv, sim.SegWait} {
+		for _, kind := range []Kind{KindCompute, KindSend, KindRecv, KindWait} {
 			if d := s.PathTime[kind]; d > 0 {
 				fmt.Fprintf(w, "  %s=%.4gs", kind, d)
 			}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"perfscale/internal/obs"
+	"perfscale/internal/resilience"
 	"perfscale/internal/sim"
 )
 
@@ -24,7 +26,6 @@ import (
 // CorruptProb ≲ 0.24.
 func TestCriticalPathTilesUnderDropsAndRetransmits(t *testing.T) {
 	cost := testCost()
-	cost.Trace = true
 	cost.Faults = &sim.FaultPlan{
 		Seed: 11,
 		Links: []sim.LinkFault{
@@ -64,15 +65,15 @@ func TestCriticalPathTilesUnderDropsAndRetransmits(t *testing.T) {
 		_, err := rel.AllReduceSum([]float64{1})
 		return err
 	}
+	col := obs.NewCollector(4)
+	cost.Observers = []sim.Observer{col}
 	res, err := sim.Run(4, cost, program)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The plan must actually have caused retransmissions, or the test
 	// pins nothing; compare against a fault-free run of the same program.
-	cleanCost := testCost()
-	cleanCost.Trace = true
-	faultFree, err := sim.Run(4, cleanCost, program)
+	faultFree, err := sim.Run(4, testCost(), program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +81,60 @@ func TestCriticalPathTilesUnderDropsAndRetransmits(t *testing.T) {
 		t.Fatalf("fault plan caused no retransmissions (%g msgs vs %g clean)",
 			res.TotalStats().MsgsSent, faultFree.TotalStats().MsgsSent)
 	}
+	assertPathTiles(t, res, col)
+}
 
-	path := res.Trace.CriticalPath()
+// A wait ended by timer expiry has a peer but no releasing message: the
+// timed ARQ's retransmission waits are such waits. The critical path must
+// keep them on the waiting rank. Jumping to a peer with no send ending at
+// the deadline lands inside a straddling wait that jumps back, and the walk
+// never returns; seed 1 is such a run.
+func TestCriticalPathTilesUnderTimerExpiry(t *testing.T) {
+	cost := sim.Cost{GammaT: 1e-9, BetaT: 1e-8, AlphaT: 1e-6}
+	cfg := resilience.ARQDefaults(cost, 2)
+	for seed := uint64(1); seed <= 20; seed++ {
+		cost.Faults = &sim.FaultPlan{
+			Seed: seed,
+			Links: []sim.LinkFault{
+				{Src: 0, Dst: 1, DropProb: 0.3},
+				{Src: 1, Dst: 0, DropProb: 0.3},
+			},
+		}
+		col := obs.NewCollector(2)
+		cost.Observers = []sim.Observer{col}
+		var timeouts int
+		res, err := sim.Run(2, cost, func(r *sim.Rank) error {
+			arq := resilience.NewARQ(r, cfg)
+			for i := 0; i < 8; i++ {
+				if r.ID() == 0 {
+					if err := arq.Send(1, []float64{float64(i)}); err != nil {
+						return err
+					}
+					r.Compute(64)
+				} else if _, err := arq.Recv(0); err != nil {
+					return err
+				}
+			}
+			if r.ID() == 0 {
+				timeouts = arq.Stats().Timeouts
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if seed == 1 && timeouts == 0 {
+			t.Fatal("seed 1 fired no timer; the test exercises nothing")
+		}
+		assertPathTiles(t, res, col)
+	}
+}
+
+// assertPathTiles checks the collector's critical path covers [0, T]
+// contiguously.
+func assertPathTiles(t *testing.T, res *sim.Result, col *obs.Collector) {
+	t.Helper()
+	path := obs.CriticalPath(col)
 	if len(path) == 0 {
 		t.Fatal("empty critical path")
 	}

@@ -212,7 +212,7 @@ type eventEngine struct {
 	workers int
 
 	// ffOK marks the run eligible for fast-forwarded collectives: no
-	// fault plan, no observers (including the tracer), no cancel context.
+	// fault plan, no observers, no cancel context.
 	// Any of those must see the run event by event — faults key decisions
 	// on individual sends, observers are owed per-operation callbacks on
 	// the owning rank's goroutine, and cancellation must be able to abort

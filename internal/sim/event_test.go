@@ -465,27 +465,6 @@ func TestEventBackendObserverStream(t *testing.T) {
 	}
 }
 
-// TestEventBackendTracer makes sure Cost.Trace works under the engine.
-func TestEventBackendTracer(t *testing.T) {
-	cost := unitCost
-	cost.Trace = true
-	res, err := Run(2, cost, func(r *Rank) error {
-		r.Compute(5)
-		if r.ID() == 0 {
-			r.Send(1, []float64{1})
-		} else {
-			r.Recv(0)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace == nil || len(res.Trace.Segments) != 2 {
-		t.Fatalf("trace missing: %+v", res.Trace)
-	}
-}
-
 // TestEventBackendLargeRing is a smoke test at scale: a 4096-rank ring
 // shift plus an AllReduce, fast-forwarded.
 func TestEventBackendLargeRing(t *testing.T) {

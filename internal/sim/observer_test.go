@@ -13,7 +13,7 @@ import (
 type recObs struct {
 	mu        sync.Mutex
 	segs      map[int][]Segment // all segments by rank, in arrival order
-	phases    map[int][]PhaseMark
+	phases    map[int][]phaseMark
 	faults    []FaultEvent
 	crashes   []CrashEvent
 	deadlocks []DeadlockEvent
@@ -21,7 +21,13 @@ type recObs struct {
 }
 
 func newRecObs() *recObs {
-	return &recObs{segs: map[int][]Segment{}, phases: map[int][]PhaseMark{}}
+	return &recObs{segs: map[int][]Segment{}, phases: map[int][]phaseMark{}}
+}
+
+// phaseMark is one OnPhase delivery.
+type phaseMark struct {
+	Name string
+	Time float64
 }
 
 func (o *recObs) add(rank int, seg Segment) {
@@ -35,7 +41,7 @@ func (o *recObs) OnSend(rank int, seg Segment)    { o.add(rank, seg) }
 func (o *recObs) OnRecv(rank int, seg Segment)    { o.add(rank, seg) }
 func (o *recObs) OnPhase(rank int, name string, at float64) {
 	o.mu.Lock()
-	o.phases[rank] = append(o.phases[rank], PhaseMark{Name: name, Time: at})
+	o.phases[rank] = append(o.phases[rank], phaseMark{Name: name, Time: at})
 	o.mu.Unlock()
 }
 func (o *recObs) OnFault(ev FaultEvent) {
@@ -124,10 +130,10 @@ func TestObserverComputeCarriesFlops(t *testing.T) {
 	}
 }
 
-func TestPhaseMarksReachBusAndTrace(t *testing.T) {
+func TestPhaseMarksReachBus(t *testing.T) {
 	obs := newRecObs()
-	cost := Cost{GammaT: 1e-3, AlphaT: 0.1, BetaT: 0.01, Trace: true, Observers: []Observer{obs}}
-	res, err := Run(2, cost, func(r *Rank) error {
+	cost := Cost{GammaT: 1e-3, AlphaT: 0.1, BetaT: 0.01, Observers: []Observer{obs}}
+	_, err := Run(2, cost, func(r *Rank) error {
 		r.Phase("setup")
 		r.Compute(100)
 		r.Phase("exchange")
@@ -140,11 +146,9 @@ func TestPhaseMarksReachBusAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank := 0; rank < 2; rank++ {
-		want := []PhaseMark{{Name: "setup", Time: 0}, {Name: "exchange", Time: 0.1}}
-		for _, got := range [][]PhaseMark{obs.phases[rank], res.Trace.Phases[rank]} {
-			if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-				t.Errorf("rank %d: phases %+v, want %+v", rank, got, want)
-			}
+		want := []phaseMark{{Name: "setup", Time: 0}, {Name: "exchange", Time: 0.1}}
+		if got := obs.phases[rank]; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+			t.Errorf("rank %d: phases %+v, want %+v", rank, got, want)
 		}
 	}
 }
@@ -243,135 +247,6 @@ func TestObserverCrashEvents(t *testing.T) {
 	}
 }
 
-// Satellite: traced SegSend segments inside degraded-bandwidth windows must
-// carry the degraded αt/βt-priced duration, so per-rank trace totals agree
-// with Stats exactly — under ChargeReceiver the receive side too.
-func TestDegradedSendSegmentsMatchStatsTotals(t *testing.T) {
-	plan := &FaultPlan{
-		Degraded: []DegradedLink{
-			{Src: -1, Dst: -1, From: 0, Until: 2, AlphaFactor: 8, BetaFactor: 3},
-		},
-	}
-	cost := Cost{
-		AlphaT: 0.25, BetaT: 0.01, GammaT: 1e-3,
-		ChargeReceiver: true, Trace: true, Faults: plan,
-	}
-	res, err := Run(2, cost, func(r *Rank) error {
-		other := 1 - r.ID()
-		for i := 0; i < 4; i++ {
-			r.Send(other, make([]float64, 10))
-			r.Recv(other)
-			r.Compute(100)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first sends happen inside the window: their traced duration must
-	// be the inflated 8·α + 10·3·β, not the base price.
-	first := res.Trace.Segments[0][0]
-	if first.Kind != SegSend {
-		t.Fatalf("first segment is %v, want send", first.Kind)
-	}
-	if want := 8*0.25 + 3*0.01*10; math.Abs(first.Duration()-want) > 1e-15 {
-		t.Errorf("degraded send duration %g, want %g", first.Duration(), want)
-	}
-	// And every rank's summed segment durations equal its Stats totals
-	// exactly — the pin that pricing and trace can never disagree again.
-	for rank, segs := range res.Trace.Segments {
-		var send, recv float64
-		for _, seg := range segs {
-			switch seg.Kind {
-			case SegSend:
-				send += seg.Duration()
-			case SegRecv:
-				recv += seg.Duration()
-			}
-		}
-		st := res.PerRank[rank]
-		if math.Abs(send-st.SendTime) > 1e-12*st.SendTime {
-			t.Errorf("rank %d: traced send total %g != Stats.SendTime %g", rank, send, st.SendTime)
-		}
-		if math.Abs(recv-st.RecvTime) > 1e-12*st.RecvTime {
-			t.Errorf("rank %d: traced recv total %g != Stats.RecvTime %g", rank, recv, st.RecvTime)
-		}
-	}
-}
-
-// Satellite: CriticalPath must tile [0, T] exactly under ChargeReceiver
-// (receive segments join the path).
-func TestCriticalPathChargeReceiverTilesTime(t *testing.T) {
-	cost := Cost{GammaT: 1e-3, AlphaT: 0.5, BetaT: 0.01, ChargeReceiver: true, Trace: true}
-	res, err := Run(6, cost, func(r *Rank) error {
-		w := r.World()
-		r.Compute(float64(100 * (r.ID() + 1)))
-		data := make([]float64, 8)
-		for s := 0; s < 3; s++ {
-			data = w.Shift(data, 1)
-			r.Compute(50)
-		}
-		w.AllReduce(data, OpSum)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertPathTiles(t, res)
-}
-
-// CriticalPath must also survive respawn-crash reboot stalls: the injected
-// SegWait has no releasing sender (peer −1) and stays on the path as a
-// stall instead of being followed off the end of the rank array.
-func TestCriticalPathRespawnRebootStall(t *testing.T) {
-	plan := &FaultPlan{Crashes: map[int]float64{1: 0.01}, Respawn: true, RebootTime: 3}
-	cost := Cost{GammaT: 1e-3, AlphaT: 0.1, BetaT: 0.01, Trace: true, Faults: plan}
-	res, err := Run(2, cost, func(r *Rank) error {
-		r.Compute(100)
-		other := 1 - r.ID()
-		r.Send(other, make([]float64, 4))
-		r.Recv(other)
-		r.Compute(100)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := assertPathTiles(t, res)
-	stall := false
-	for _, seg := range path {
-		if seg.Kind == SegWait && seg.Peer == -1 && seg.Duration() == 3 {
-			stall = true
-		}
-	}
-	if !stall {
-		t.Errorf("reboot stall missing from path: %+v", path)
-	}
-}
-
-// assertPathTiles checks the critical path covers [0, T] contiguously and
-// returns it.
-func assertPathTiles(t *testing.T, res *Result) []Segment {
-	t.Helper()
-	path := res.Trace.CriticalPath()
-	if len(path) == 0 {
-		t.Fatal("empty critical path")
-	}
-	total := 0.0
-	for _, s := range path {
-		total += s.Duration()
-	}
-	if T := res.Time(); math.Abs(total-T) > 1e-9*T {
-		t.Errorf("path covers %g of %g", total, T)
-	}
-	for i := 1; i < len(path); i++ {
-		if math.Abs(path[i].Start-path[i-1].End) > 1e-9 {
-			t.Fatalf("path gap between %+v and %+v", path[i-1], path[i])
-		}
-	}
-	return path
-}
-
 // The engine's DeadlockError carries a full cluster snapshot
 // and is emitted through the event bus.
 func TestDeadlockSnapshotAndBusEvent(t *testing.T) {
@@ -464,5 +339,19 @@ func TestDeadlockSnapshotQueuedPairs(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("queued pair 0->1 count 2 missing: %+v", de.Snapshot.Queued)
+	}
+}
+
+func TestSegmentKindString(t *testing.T) {
+	names := map[SegmentKind]string{
+		SegCompute: "compute", SegSend: "send", SegWait: "wait", SegRecv: "recv",
+	}
+	for k, want := range names {
+		if k.String() != want {
+			t.Errorf("%d: got %q", int(k), k.String())
+		}
+	}
+	if SegmentKind(9).String() == "" {
+		t.Error("unknown kind should still format")
 	}
 }

@@ -64,15 +64,12 @@ type Cost struct {
 	// constant of symmetric exchanges but leaves every scaling shape
 	// unchanged.
 	ChargeReceiver bool
-	// Trace records per-rank timeline segments (compute/send/wait/recv)
-	// for critical-path and power-profile analysis; Result.Trace carries
-	// them after the run.
-	Trace bool
 	// Observers subscribes event-bus listeners to the run: every timeline
 	// segment, phase mark, fault, crash and deadlock is delivered as it
-	// happens (see Observer for the concurrency contract). The built-in
-	// tracer is appended as one more subscriber when Trace is set. An
-	// empty list costs nothing on the hot path.
+	// happens (see Observer for the concurrency contract). Timeline
+	// analyses — critical path, utilization, Gantt chart, power profile —
+	// read an obs.Collector subscribed here. An empty list costs nothing
+	// on the hot path.
 	Observers []Observer
 	// ChanCap overrides DefaultChanCap, the per-pair queue buffer in
 	// messages. Zero means the default; negative values are rejected.
@@ -169,9 +166,7 @@ type Cluster struct {
 	cost   Cost
 	bufCap int
 	mail   []mailbox // mail[dst].queues[src]
-	tracer *tracer
-	// obs lists the event-bus subscribers (Cost.Observers plus the tracer
-	// when tracing).
+	// obs is the event-bus subscriber list, copied from Cost.Observers.
 	obs []Observer
 
 	// exits records each rank's exit status; exited[id] is set only after
@@ -220,10 +215,6 @@ func NewCluster(p int, cost Cost) (*Cluster, error) {
 	}
 	c := &Cluster{p: p, cost: cost}
 	c.obs = append(c.obs, cost.Observers...)
-	if cost.Trace {
-		c.tracer = &tracer{segments: make([][]Segment, p), phases: make([][]PhaseMark, p)}
-		c.obs = append(c.obs, c.tracer)
-	}
 	c.bufCap = cost.ChanCap
 	if c.bufCap == 0 {
 		c.bufCap = DefaultChanCap
@@ -613,8 +604,6 @@ type Result struct {
 	// the pairs actually communicated over. It is a runtime-footprint
 	// metric, not part of the simulated machine model.
 	ActivePairs int
-	// Trace carries the per-rank timelines when Cost.Trace was set.
-	Trace *Trace
 }
 
 // Time returns the simulated runtime: the maximum final clock over ranks.
@@ -685,9 +674,6 @@ func Run(p int, cost Cost, fn func(r *Rank) error) (*Result, error) {
 // second one.
 func (c *Cluster) Run(fn func(r *Rank) error) (*Result, error) {
 	res := &Result{PerRank: make([]Stats, c.p)}
-	if c.tracer != nil {
-		res.Trace = &Trace{Segments: c.tracer.segments, Phases: c.tracer.phases}
-	}
 	e := newEventEngine(c, fn, res)
 	c.eng = e
 	if ctx := c.cost.Context; ctx != nil {
