@@ -81,3 +81,23 @@ func TestDeterministic(t *testing.T) {
 		t.Error("two casestudy runs differ")
 	}
 }
+
+// TestWriteFailureExitsNonZero runs casestudy with stdout on /dev/full: a
+// report that cannot be written must fail the command, not pass as empty.
+func TestWriteFailureExitsNonZero(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("/dev/full not available")
+	}
+	defer full.Close()
+	var stderr strings.Builder
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "CASESTUDY_RUN_MAIN=1")
+	cmd.Stdout, cmd.Stderr = full, &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("write to /dev/full exited 0")
+	}
+	if !strings.Contains(stderr.String(), "casestudy:") {
+		t.Fatalf("no write-failure diagnostic: %q", stderr.String())
+	}
+}

@@ -99,18 +99,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "conformance:", merr)
 			os.Exit(2)
 		}
-		w, closeOut, oerr := report.OpenOutput(*out)
-		if oerr != nil {
-			fmt.Fprintln(os.Stderr, "conformance:", oerr)
-			os.Exit(1)
-		}
-		w.Printf("%s\n", data)
-		if werr := w.Err(); werr != nil {
-			fmt.Fprintln(os.Stderr, "conformance: writing report:", werr)
-			os.Exit(1)
-		}
-		if cerr := closeOut(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "conformance: closing report:", cerr)
+		if report.Output("conformance", *out, func(w *report.ErrWriter) int {
+			w.Printf("%s\n", data)
+			return 0
+		}) != 0 {
 			os.Exit(1)
 		}
 	}

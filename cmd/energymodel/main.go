@@ -56,14 +56,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	w, closeOut, err := report.OpenOutput(*outPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "energymodel:", err)
-		return 1
-	}
-	w.Println(m.String())
-	w.Println()
-
 	var r core.Result
 	switch *alg {
 	case "matmul":
@@ -90,13 +82,16 @@ func run() int {
 		r = core.FFT(m, *n, *p, *tree)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *alg)
-		closeOut()
 		return 2
 	}
 
-	printResult(w, *alg, *n, r)
-
-	if *questions || *tmax > 0 || *emax > 0 {
+	return report.Output("energymodel", *outPath, func(w *report.ErrWriter) int {
+		w.Println(m.String())
+		w.Println()
+		printResult(w, *alg, *n, r)
+		if !*questions && *tmax <= 0 && *emax <= 0 {
+			return 0
+		}
 		switch *alg {
 		case "nbody":
 			answerNBody(w, m, *n, *f, *tmax, *emax, *target)
@@ -109,18 +104,8 @@ func run() int {
 		default:
 			w.Println("optimization questions are implemented for matmul, strassen and nbody")
 		}
-	}
-
-	code := 0
-	if err := w.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "energymodel: writing report:", err)
-		code = 1
-	}
-	if err := closeOut(); err != nil {
-		fmt.Fprintln(os.Stderr, "energymodel: closing output:", err)
-		code = 1
-	}
-	return code
+		return 0
+	})
 }
 
 func printResult(w *report.ErrWriter, alg string, n float64, r core.Result) {

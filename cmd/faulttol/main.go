@@ -53,46 +53,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	w, closeOut, err := report.OpenOutput(*outPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "faulttol:", err)
-		os.Exit(1)
-	}
-	emit := func(t *report.Table) {
-		if *csv {
-			w.Printf("%s", t.CSV())
-		} else {
-			w.Println(t.Render())
+	os.Exit(report.Output("faulttol", *outPath, func(w *report.ErrWriter) int {
+		emit := func(t *report.Table) { w.Emit(t, *csv) }
+		if all || *abft {
+			runABFT(emit, m, *n)
 		}
-	}
-
-	if all || *abft {
-		runABFT(emit, m, *n)
-	}
-	if all || *ckpt {
-		runCheckpoint(emit, m)
-	}
-	if all || *drops {
-		runDrops(emit, m, *n)
-	}
-	if all || *det {
-		runDetector(emit, m)
-	}
-	if all || *rec {
-		runRecover(emit, m)
-	}
-	code := 0
-	if err := w.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "faulttol: writing report:", err)
-		code = 1
-	}
-	if err := closeOut(); err != nil {
-		fmt.Fprintln(os.Stderr, "faulttol: closing output:", err)
-		code = 1
-	}
-	if code != 0 {
-		os.Exit(code)
-	}
+		if all || *ckpt {
+			runCheckpoint(emit, m)
+		}
+		if all || *drops {
+			runDrops(emit, m, *n)
+		}
+		if all || *det {
+			runDetector(emit, m)
+		}
+		if all || *rec {
+			runRecover(emit, m)
+		}
+		return 0
+	}))
 }
 
 // simCost builds the simulator price list from a machine's time parameters.

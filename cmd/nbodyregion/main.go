@@ -9,7 +9,7 @@
 //
 // With no flags it renders all three. Budgets default to multiples of the
 // optimum so every region is non-trivial, mirroring the paper's
-// illustrative plots.
+// illustrative plots. A failed write to stdout exits 1.
 package main
 
 import (
@@ -45,54 +45,57 @@ func main() {
 	flag.Parse()
 	all := !*fa && !*fb && !*fc
 
-	if *mmFlag {
-		renderMatMulRegion(*pCnt, *mCnt)
-		return
-	}
-
-	pb := opt.NBody{M: machine.Illustrative(), N: *n, F: *f}
-	grid := opt.NBodyRegionGrid(pb, *pLo, *pHi, *pCnt, *mCnt)
-
-	fmt.Printf("n-body execution region: n=%s f=%g machine=%s\n",
-		report.FormatFloat(*n), *f, pb.M.Name)
-	fmt.Printf("M0 = %s words, E* = %s J, min-energy line spans p in [%s, %s]\n\n",
-		report.FormatFloat(grid.M0), report.FormatFloat(grid.EStar),
-		report.FormatFloat(pb.N/grid.M0), report.FormatFloat(pb.N*pb.N/(grid.M0*grid.M0)))
-
-	if *csv {
-		t := report.NewTable("", "p", "mem", "feasible", "energy", "time", "proc_power", "total_power", "on_m0_line")
-		for _, c := range grid.Cells {
-			t.AddRow(c.P, c.Mem, fmt.Sprintf("%v", c.Feasible), c.Energy, c.Time,
-				c.ProcPower, c.TotalPower, fmt.Sprintf("%v", c.OnMinEnergyLine))
+	os.Exit(report.Output("nbodyregion", "", func(w *report.ErrWriter) int {
+		if *mmFlag {
+			renderMatMulRegion(w, *pCnt, *mCnt)
+			return 0
 		}
-		fmt.Print(t.CSV())
-		return
-	}
 
-	budgets := opt.Budgets{
-		EnergyMax:    *eMul * grid.EStar,
-		ProcPowerMax: *ppMul * pb.ProcPower(grid.M0),
-		TimeMax:      *tMul * pb.Time(pb.N*pb.N/(grid.M0*grid.M0), grid.M0),
-		TotalPowMax:  *tpMul * pb.ProcPower(grid.M0),
-	}
+		pb := opt.NBody{M: machine.Illustrative(), N: *n, F: *f}
+		grid := opt.NBodyRegionGrid(pb, *pLo, *pHi, *pCnt, *mCnt)
 
-	if all || *fa {
-		fmt.Println(renderRegion(grid, budgets, 'a'))
-	}
-	if all || *fb {
-		fmt.Printf("budgets: Emax=%s J, per-proc Pmax=%s W\n",
-			report.FormatFloat(budgets.EnergyMax), report.FormatFloat(budgets.ProcPowerMax))
-		fmt.Println(renderRegion(grid, budgets, 'b'))
-	}
-	if all || *fc {
-		fmt.Printf("budgets: Tmax=%s s, total Pmax=%s W\n",
-			report.FormatFloat(budgets.TimeMax), report.FormatFloat(budgets.TotalPowMax))
-		fmt.Println(renderRegion(grid, budgets, 'c'))
-	}
+		w.Printf("n-body execution region: n=%s f=%g machine=%s\n",
+			report.FormatFloat(*n), *f, pb.M.Name)
+		w.Printf("M0 = %s words, E* = %s J, min-energy line spans p in [%s, %s]\n\n",
+			report.FormatFloat(grid.M0), report.FormatFloat(grid.EStar),
+			report.FormatFloat(pb.N/grid.M0), report.FormatFloat(pb.N*pb.N/(grid.M0*grid.M0)))
 
-	if all || *fa {
-		printEnergyProfile(pb, grid)
-	}
+		if *csv {
+			t := report.NewTable("", "p", "mem", "feasible", "energy", "time", "proc_power", "total_power", "on_m0_line")
+			for _, c := range grid.Cells {
+				t.AddRow(c.P, c.Mem, fmt.Sprintf("%v", c.Feasible), c.Energy, c.Time,
+					c.ProcPower, c.TotalPower, fmt.Sprintf("%v", c.OnMinEnergyLine))
+			}
+			w.Printf("%s", t.CSV())
+			return 0
+		}
+
+		budgets := opt.Budgets{
+			EnergyMax:    *eMul * grid.EStar,
+			ProcPowerMax: *ppMul * pb.ProcPower(grid.M0),
+			TimeMax:      *tMul * pb.Time(pb.N*pb.N/(grid.M0*grid.M0), grid.M0),
+			TotalPowMax:  *tpMul * pb.ProcPower(grid.M0),
+		}
+
+		if all || *fa {
+			w.Println(renderRegion(grid, budgets, 'a'))
+		}
+		if all || *fb {
+			w.Printf("budgets: Emax=%s J, per-proc Pmax=%s W\n",
+				report.FormatFloat(budgets.EnergyMax), report.FormatFloat(budgets.ProcPowerMax))
+			w.Println(renderRegion(grid, budgets, 'b'))
+		}
+		if all || *fc {
+			w.Printf("budgets: Tmax=%s s, total Pmax=%s W\n",
+				report.FormatFloat(budgets.TimeMax), report.FormatFloat(budgets.TotalPowMax))
+			w.Println(renderRegion(grid, budgets, 'c'))
+		}
+
+		if all || *fa {
+			printEnergyProfile(w, pb, grid)
+		}
+		return 0
+	}))
 }
 
 // renderRegion draws the (p, M) plane: '.' infeasible, other marks per
@@ -163,32 +166,32 @@ func regionMark(first, second bool) byte {
 
 // printEnergyProfile prints E(M) across the sampled memory rows — the
 // vertical profile of Figure 4(a)'s surface, minimized at M0.
-func printEnergyProfile(pb opt.NBody, g opt.Fig4Grid) {
+func printEnergyProfile(w *report.ErrWriter, pb opt.NBody, g opt.Fig4Grid) {
 	t := report.NewTable("Energy vs memory (independent of p inside the region)",
 		"M (words)", "E (J)", "E/E*")
 	for _, mem := range g.MemValues {
 		e := pb.Energy(mem)
 		t.AddRow(mem, e, e/g.EStar)
 	}
-	fmt.Println(t.Render())
+	w.Println(t.Render())
 	var s report.Series
 	s.Name = "E(M)"
 	for _, mem := range g.MemValues {
 		s.Add(mem, pb.Energy(mem))
 	}
-	fmt.Println(report.Chart("E(M): communication-dominated left of M0, memory-dominated right",
+	w.Println(report.Chart("E(M): communication-dominated left of M0, memory-dominated right",
 		60, 12, true, true, s))
 }
 
 // renderMatMulRegion draws the matmul counterpart of Figure 4(a): the
 // wedge between the 2D limit M = n²/p and the 3D limit M = n²/p^(2/3),
 // with the energy-optimal memory row marked.
-func renderMatMulRegion(pCnt, mCnt int) {
+func renderMatMulRegion(w *report.ErrWriter, pCnt, mCnt int) {
 	pb := opt.MatMul{M: machine.Illustrative(), N: 1 << 14}
 	g := opt.MatMulRegionGrid(pb, 64, 1<<16, pCnt, mCnt)
-	fmt.Printf("matmul execution region: n=%s machine=%s\n", report.FormatFloat(pb.N), pb.M.Name)
-	fmt.Printf("M* = %s words, E(M*) = %s J\n\n", report.FormatFloat(g.MStar), report.FormatFloat(g.EStar))
-	fmt.Println("G = min-energy memory row; 1-9 = time decile (1 fastest); '.' = infeasible")
+	w.Printf("matmul execution region: n=%s machine=%s\n", report.FormatFloat(pb.N), pb.M.Name)
+	w.Printf("M* = %s words, E(M*) = %s J\n\n", report.FormatFloat(g.MStar), report.FormatFloat(g.EStar))
+	w.Println("G = min-energy memory row; 1-9 = time decile (1 fastest); '.' = infeasible")
 	var tMin, tMax float64 = math.Inf(1), math.Inf(-1)
 	for _, c := range g.Cells {
 		if c.Feasible {
@@ -198,24 +201,22 @@ func renderMatMulRegion(pCnt, mCnt int) {
 	}
 	nP := len(g.PValues)
 	for mi := len(g.MemValues) - 1; mi >= 0; mi-- {
-		fmt.Printf("M=%10s | ", report.FormatFloat(g.MemValues[mi]))
+		w.Printf("M=%10s | ", report.FormatFloat(g.MemValues[mi]))
 		for pi := 0; pi < nP; pi++ {
 			c := g.Cells[mi*nP+pi]
 			switch {
 			case !c.Feasible:
-				fmt.Print(".")
+				w.Printf(".")
 			case c.OnMinEnergyLine:
-				fmt.Print("G")
+				w.Printf("G")
 			default:
 				frac := (math.Log(c.Time) - math.Log(tMin)) / (math.Log(tMax) - math.Log(tMin))
-				fmt.Printf("%c", byte('1'+int(frac*8.999)))
+				w.Printf("%c", byte('1'+int(frac*8.999)))
 			}
 		}
-		fmt.Println()
+		w.Println()
 	}
-	fmt.Printf("%14s +-%s\n", "", strings.Repeat("-", nP))
-	fmt.Printf("%14s   p from %s to %s (log scale)\n", "",
+	w.Printf("%14s +-%s\n", "", strings.Repeat("-", nP))
+	w.Printf("%14s   p from %s to %s (log scale)\n", "",
 		report.FormatFloat(g.PValues[0]), report.FormatFloat(g.PValues[nP-1]))
 }
-
-var _ = os.Exit

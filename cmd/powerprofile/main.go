@@ -47,56 +47,49 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	w, closeOut, err := report.OpenOutput(*outPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "powerprofile:", err)
-		return 1
+	res, col, code := simulate(m, *alg, *n, *p, *q, *c)
+	if code != 0 {
+		return code
 	}
-	code := profile(w, m, *alg, *n, *p, *q, *c, *buckets)
-	if err := w.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "powerprofile: writing report:", err)
-		code = 1
-	}
-	if err := closeOut(); err != nil {
-		fmt.Fprintln(os.Stderr, "powerprofile: closing output:", err)
-		code = 1
-	}
-	return code
+	return report.Output("powerprofile", *outPath, func(w *report.ErrWriter) int {
+		return profile(w, m, *alg, res, col, *buckets)
+	})
 }
 
-func profile(w *report.ErrWriter, m machine.Params, alg string, n, p, q, c, buckets int) int {
+// simulate runs alg with a collector subscribed; a non-zero code is the
+// command's exit status.
+func simulate(m machine.Params, alg string, n, p, q, c int) (*sim.Result, *obs.Collector, int) {
 	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
 		MaxMsgWords: int(m.MaxMsgWords)}
-
-	var res *sim.Result
-	var col *obs.Collector
 	switch alg {
 	case "matmul":
-		col = obs.NewCollector(q * q * c)
+		col := obs.NewCollector(q * q * c)
 		cost.Observers = []sim.Observer{col}
 		a := matrix.Random(n, n, 1)
 		b := matrix.Random(n, n, 2)
 		run, err := matmul.TwoPointFiveD(cost, q, c, a, b)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return nil, nil, 1
 		}
-		res = run.Sim
+		return run.Sim, col, 0
 	case "nbody":
-		col = obs.NewCollector(p)
+		col := obs.NewCollector(p)
 		cost.Observers = []sim.Observer{col}
 		bodies := nbody.RandomBodies(n, 3)
 		run, err := nbody.Replicated(cost, p, c, bodies)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return nil, nil, 1
 		}
-		res = run.Sim
+		return run.Sim, col, 0
 	default:
 		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", alg)
-		return 2
+		return nil, nil, 2
 	}
+}
 
+func profile(w *report.ErrWriter, m machine.Params, alg string, res *sim.Result, col *obs.Collector, buckets int) int {
 	w.Printf("%s on %s: simulated T = %s s\n\n", alg, m.Name, report.FormatFloat(res.Time()))
 
 	// Critical path.

@@ -55,8 +55,13 @@ func TestOutputFile(t *testing.T) {
 }
 
 func TestBadUsageExitsTwo(t *testing.T) {
-	if out, code := runPowerprofile(t, "-alg", "nope"); code != 2 {
+	// A usage error must not create the -o file.
+	path := filepath.Join(t.TempDir(), "out.txt")
+	if out, code := runPowerprofile(t, "-alg", "nope", "-o", path); code != 2 {
 		t.Fatalf("unknown alg: exit %d, want 2:\n%s", code, out)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("usage error touched the -o file: %v", err)
 	}
 	if out, code := runPowerprofile(t, "-machine", "nope"); code != 2 {
 		t.Fatalf("unknown machine: exit %d, want 2:\n%s", code, out)

@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"time"
@@ -37,79 +36,51 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	w := io.Writer(os.Stdout)
-	closeOut := func() error { return nil }
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	os.Exit(report.Output("reproduce", *out, func(w *report.ErrWriter) int {
+		start := time.Now()
+		r := &reporter{w: w}
+		r.hdr()
+		r.e1()
+		r.e2()
+		r.e3()
+		r.e4()
+		r.e5()
+		r.e6()
+		r.e789()
+		r.e10()
+		r.e11()
+		r.e12()
+		r.e13()
+		r.e14()
+		r.e15()
+		r.e16()
+		r.e17()
+		r.e18()
+		r.e19()
+		r.e20()
+		r.e21()
+		r.p("\n---\nGenerated in %.1fs. All values deterministic (virtual time, seeded data).",
+			time.Since(start).Seconds())
+		if r.failed {
+			return 1
 		}
-		// Closed explicitly below: a deferred Close would be skipped by the
-		// os.Exit(1) on experiment failure and its error lost on success.
-		closeOut = f.Close
-		w = f
-	}
-	start := time.Now()
-	r := &reporter{w: w}
-	r.hdr()
-	r.e1()
-	r.e2()
-	r.e3()
-	r.e4()
-	r.e5()
-	r.e6()
-	r.e789()
-	r.e10()
-	r.e11()
-	r.e12()
-	r.e13()
-	r.e14()
-	r.e15()
-	r.e16()
-	r.e17()
-	r.e18()
-	r.e19()
-	r.e20()
-	r.e21()
-	r.p("\n---\nGenerated in %.1fs. All values deterministic (virtual time, seeded data).",
-		time.Since(start).Seconds())
-	if err := closeOut(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if r.werr != nil {
-		fmt.Fprintln(os.Stderr, "reproduce: writing report:", r.werr)
-		os.Exit(1)
-	}
-	if r.failed {
-		os.Exit(1)
-	}
+		return 0
+	}))
 }
 
 type reporter struct {
-	w      io.Writer
+	w      *report.ErrWriter
 	failed bool
-	// werr is the first report-write failure (ENOSPC, closed pipe, ...);
-	// later writes are best-effort, and main turns it into exit 1 so a
-	// truncated report can never pass for a clean run.
-	werr error
 }
 
-func (r *reporter) write(format string, args ...any) {
-	if _, err := fmt.Fprintf(r.w, format, args...); err != nil && r.werr == nil {
-		r.werr = err
-	}
-}
-
-func (r *reporter) section(title string) { r.write("\n## %s\n\n", title) }
+func (r *reporter) section(title string) { r.w.Printf("\n## %s\n\n", title) }
 func (r *reporter) p(format string, args ...any) {
-	r.write(format+"\n", args...)
+	r.w.Printf(format+"\n", args...)
 }
-func (r *reporter) table(t *report.Table) { r.write("%s\n", t.Markdown()) }
+func (r *reporter) table(t *report.Table) { r.w.Printf("%s\n", t.Markdown()) }
 func (r *reporter) fail(err error) {
 	r.failed = true
-	r.write("**FAILED:** %v\n", err)
+	r.w.Printf("**FAILED:** %v\n", err)
 }
 
 func (r *reporter) hdr() {

@@ -1,6 +1,6 @@
 // Command scalediff divides two phase profiles of the same algorithm and
 // names the phase that stopped scaling — the Hatchet-style divide operator
-// of internal/analytics on the command line. Three modes:
+// of internal/analytics on the command line. Two modes:
 //
 //	scalediff -alg matmul -n 96 -q 4 -c 1 -c2 4
 //	    run the algorithm at c and c2, diff the profiles against the
@@ -10,11 +10,10 @@
 //	scalediff -alg matmul -n 64 -q 4 -degrade multiply-shift -degrade-beta 50
 //	    run clean, extract the named phase's virtual-time window, re-run
 //	    with every link degraded inside that window, and diff — the tool
-//	    must name the degraded phase as the bottleneck;
+//	    must name the degraded phase as the bottleneck.
 //
-//	scalediff -baseline BENCH_scaling.json -current curves.json
-//	    regression gate: compare efficiency-vs-p curve files and exit 1
-//	    when any row or phase degraded beyond -tol.
+// The efficiency-vs-p regression gate over curve files is
+// `bench -check-scaling`.
 //
 // Output is an annotated text table by default, JSON with -json, to stdout
 // or -o file. Write failures exit non-zero.
@@ -22,10 +21,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 
 	"perfscale/internal/analytics"
 	"perfscale/internal/bounds"
@@ -56,75 +57,41 @@ func run() int {
 		degradeAlpha = flag.Float64("degrade-alpha", 1, "latency inflation factor for -degrade")
 		degradeBeta  = flag.Float64("degrade-beta", 20, "per-word inflation factor for -degrade")
 
-		baseline = flag.String("baseline", "", "gate mode: committed curves file to compare against")
-		current  = flag.String("current", "", "gate mode: freshly measured curves file")
-		tol      = flag.Float64("tol", analytics.DefaultGateTolerance, "gate/diff tolerance")
-
+		tol      = flag.Float64("tol", analytics.DefaultGateTolerance, "diff tolerance")
 		expected = flag.Float64("expected", 0, "override the expected span ratio B/A (default: pA/pB, or 1 with -degrade)")
 		jsonOut  = flag.Bool("json", false, "emit JSON instead of the annotated table")
 		outPath  = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
 
-	w, closeOut, err := report.OpenOutput(*outPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalediff:", err)
-		return 1
-	}
-	code := func() int {
-		if *baseline != "" || *current != "" {
-			return runGate(w, *baseline, *current, *tol, *jsonOut)
-		}
-		return runDiff(w, diffSpec{
-			alg: *alg, n: *n, q: *q, c: *c, c2: *c2,
-			mach:    *mach,
-			degrade: *degrade, degradeAlpha: *degradeAlpha, degradeBeta: *degradeBeta,
-			expected: *expected, tol: *tol, jsonOut: *jsonOut,
-		})
-	}()
-	if err := w.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "scalediff: writing report:", err)
-		code = 1
-	}
-	if err := closeOut(); err != nil {
-		fmt.Fprintln(os.Stderr, "scalediff: closing output:", err)
-		code = 1
-	}
-	return code
-}
-
-// runGate is the regression-gate mode.
-func runGate(w *report.ErrWriter, basePath, curPath string, tol float64, jsonOut bool) int {
-	if basePath == "" || curPath == "" {
-		fmt.Fprintln(os.Stderr, "scalediff: gate mode needs both -baseline and -current")
-		return 2
-	}
-	base, err := analytics.LoadCurves(basePath)
+	d, err := runDiff(diffSpec{
+		alg: *alg, n: *n, q: *q, c: *c, c2: *c2,
+		mach:    *mach,
+		degrade: *degrade, degradeAlpha: *degradeAlpha, degradeBeta: *degradeBeta,
+		expected: *expected, tol: *tol,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalediff:", err)
 		return 2
 	}
-	cur, err := analytics.LoadCurves(curPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalediff:", err)
-		return 2
-	}
-	regs := analytics.CheckCurves(cur, base, tol)
-	if jsonOut {
-		writeJSON(w, map[string]any{"regressions": regs, "baseline_rows": len(base), "current_rows": len(cur)})
-	} else {
-		w.Printf("scaling gate: %d baseline rows, %d current rows, tolerance %.3g\n", len(base), len(cur), tol)
-		for _, r := range regs {
-			w.Println("REGRESSION:", r.String())
+	return report.Output("scalediff", *outPath, func(w *report.ErrWriter) int {
+		if *jsonOut {
+			buf, err := json.MarshalIndent(d, "", "  ")
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "scalediff:", err)
+				return 1
+			}
+			w.Println(string(buf))
+			return 0
 		}
-		if len(regs) == 0 {
-			w.Println("no scaling regressions")
-		}
-	}
-	if len(regs) > 0 {
-		return 1
-	}
-	return 0
+		// A failed write is recorded in w, and Output turns it into exit 1.
+		_ = d.A.WriteText(w)
+		w.Println()
+		_ = d.B.WriteText(w)
+		w.Println()
+		_ = d.Diff.WriteText(w)
+		return 0
+	})
 }
 
 type diffSpec struct {
@@ -134,41 +101,44 @@ type diffSpec struct {
 	degrade                   string
 	degradeAlpha, degradeBeta float64
 	expected, tol             float64
-	jsonOut                   bool
 }
 
-func runDiff(w *report.ErrWriter, s diffSpec) int {
+// diffResult is the two profiles and their diff, as -json prints them.
+type diffResult struct {
+	A    *analytics.PhaseProfile `json:"a"`
+	B    *analytics.PhaseProfile `json:"b"`
+	Diff *analytics.DiffReport   `json:"diff"`
+}
+
+// runDiff runs both sides and diffs them; every error is a usage error.
+func runDiff(s diffSpec) (*diffResult, error) {
 	m, err := machine.Resolve(s.mach)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalediff:", err)
-		return 2
+		return nil, err
 	}
 	if s.c2 == 0 {
 		s.c2 = s.c
 	}
 	if s.degrade != "" && s.c2 != s.c {
-		fmt.Fprintln(os.Stderr, "scalediff: -degrade compares equal configurations; drop -c2")
-		return 2
+		return nil, errors.New("-degrade compares equal configurations; drop -c2")
 	}
 
 	cost := sim.Cost{GammaT: m.GammaT, BetaT: m.BetaT, AlphaT: m.AlphaT,
 		MaxMsgWords: int(m.MaxMsgWords)}
 	profA, err := runProfile(m, cost, s.alg, s.n, s.q, s.c)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalediff:", err)
-		return 2
+		return nil, err
 	}
 
 	costB := cost
 	if s.degrade != "" {
 		ps := profA.Phase(s.degrade)
 		if ps == nil {
-			fmt.Fprintf(os.Stderr, "scalediff: run has no phase %q (phases:", s.degrade)
-			for _, p := range profA.Phases {
-				fmt.Fprintf(os.Stderr, " %s", p.Name)
+			names := make([]string, len(profA.Phases))
+			for i, p := range profA.Phases {
+				names[i] = p.Name
 			}
-			fmt.Fprintln(os.Stderr, ")")
-			return 2
+			return nil, fmt.Errorf("run has no phase %q (phases: %s)", s.degrade, strings.Join(names, " "))
 		}
 		costB.Faults = &sim.FaultPlan{
 			Seed: 1,
@@ -181,8 +151,7 @@ func runDiff(w *report.ErrWriter, s diffSpec) int {
 	}
 	profB, err := runProfile(m, costB, s.alg, s.n, s.q, s.c2)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalediff:", err)
-		return 2
+		return nil, err
 	}
 
 	exp := s.expected
@@ -201,23 +170,7 @@ func runDiff(w *report.ErrWriter, s diffSpec) int {
 		pl := bounds.NBodyPlateau(float64(s.n), float64(s.n)/float64(s.q))
 		opt.PlateauP, opt.PlateauBound = pl.PEnd, pl.IndependentBound
 	}
-	rep := analytics.Diff(profA, profB, opt)
-	if s.jsonOut {
-		writeJSON(w, map[string]any{"a": profA, "b": profB, "diff": rep})
-		return 0
-	}
-	if err := profA.WriteText(w); err != nil {
-		return 1
-	}
-	w.Println()
-	if err := profB.WriteText(w); err != nil {
-		return 1
-	}
-	w.Println()
-	if err := rep.WriteText(w); err != nil {
-		return 1
-	}
-	return 0
+	return &diffResult{A: profA, B: profB, Diff: analytics.Diff(profA, profB, opt)}, nil
 }
 
 // runProfile executes one observed run of the named algorithm and builds
@@ -272,13 +225,4 @@ func runProfile(m machine.Params, cost sim.Cost, alg string, n, q, c int) (*anal
 	}
 	meta := analytics.Meta{Algorithm: alg, N: n, C: c}
 	return analytics.BuildProfile(m, res, col, meta), nil
-}
-
-func writeJSON(w *report.ErrWriter, v any) {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalediff:", err)
-		return
-	}
-	w.Println(string(buf))
 }

@@ -96,52 +96,17 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-func TestGateMode(t *testing.T) {
-	dir := t.TempDir()
-	base := []analytics.CurvePoint{{
-		Family: "strong", Algorithm: "matmul-2.5d", Runtime: "goroutine",
-		N: 96, P: 16, C: 1, SimT: 1, Efficiency: 1,
-		PhaseSpans: map[string]float64{"multiply-shift": 0.5},
-	}}
-	basePath := filepath.Join(dir, "base.json")
-	if err := analytics.WriteCurves(basePath, "simdefault", base); err != nil {
-		t.Fatal(err)
-	}
-
-	// Identical current: gate passes.
-	out, code := runScalediff(t, "-baseline", basePath, "-current", basePath)
-	if code != 0 {
-		t.Fatalf("clean gate exited %d:\n%s", code, out)
-	}
-	if !strings.Contains(out, "no scaling regressions") {
-		t.Fatalf("clean gate output wrong:\n%s", out)
-	}
-
-	// Synthetically regressed current: gate exits non-zero.
-	bad := []analytics.CurvePoint{base[0]}
-	bad[0].Efficiency = 0.8
-	badPath := filepath.Join(dir, "bad.json")
-	if err := analytics.WriteCurves(badPath, "simdefault", bad); err != nil {
-		t.Fatal(err)
-	}
-	out, code = runScalediff(t, "-baseline", basePath, "-current", badPath)
-	if code == 0 {
-		t.Fatalf("regressed gate exited 0:\n%s", out)
-	}
-	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "efficiency") {
-		t.Fatalf("regression not reported:\n%s", out)
-	}
-}
-
 func TestBadUsageExitsTwo(t *testing.T) {
 	if out, code := runScalediff(t, "-alg", "quicksort"); code != 2 {
 		t.Fatalf("unknown algorithm exited %d:\n%s", code, out)
 	}
-	if out, code := runScalediff(t, "-baseline", "/does/not/exist", "-current", "/does/not/exist"); code != 2 {
-		t.Fatalf("missing curve files exited %d:\n%s", code, out)
-	}
-	if out, code := runScalediff(t, "-degrade", "no-such-phase"); code != 2 {
+	// A usage error must not create the -o file.
+	path := filepath.Join(t.TempDir(), "diff.txt")
+	if out, code := runScalediff(t, "-degrade", "no-such-phase", "-o", path); code != 2 {
 		t.Fatalf("unknown phase exited %d:\n%s", code, out)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("usage error touched the -o file: %v", err)
 	}
 }
 

@@ -63,56 +63,38 @@ func run() int {
 		return 2
 	}
 
-	w, closeOut, err := report.OpenOutput(*outPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scaling:", err)
-		return 1
-	}
-	emit := func(t *report.Table) {
-		if *csv {
-			w.Printf("%s", t.CSV())
-		} else {
-			w.Println(t.Render())
+	return report.Output("scaling", *outPath, func(w *report.ErrWriter) int {
+		emit := func(t *report.Table) { w.Emit(t, *csv) }
+		code := 0
+		if all || *fig3 {
+			runFig3(w, emit, *fig3N, *fig3Mem, *fig3Pts, *csv)
 		}
-	}
-
-	code := 0
-	if all || *fig3 {
-		runFig3(w, emit, *fig3N, *fig3Mem, *fig3Pts, *csv)
-	}
-	if all || *perfect {
-		runPerfect(emit, m)
-	}
-	if all || *strass {
-		runStrassen(emit, m)
-	}
-	if all || *threeD {
-		run3D(emit, m)
-	}
-	if all || *weak {
-		runWeak(emit, m)
-	}
-	if all || *rect {
-		if err := runRect(emit, m); err != nil {
-			fmt.Fprintln(os.Stderr, "scaling:", err)
-			code = 1
+		if all || *perfect {
+			runPerfect(emit, m)
 		}
-	}
-	if *curves {
-		if err := runCurves(emit, m); err != nil {
-			fmt.Fprintln(os.Stderr, "scaling:", err)
-			code = 1
+		if all || *strass {
+			runStrassen(emit, m)
 		}
-	}
-	if err := w.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "scaling: writing report:", err)
-		code = 1
-	}
-	if err := closeOut(); err != nil {
-		fmt.Fprintln(os.Stderr, "scaling: closing output:", err)
-		code = 1
-	}
-	return code
+		if all || *threeD {
+			run3D(emit, m)
+		}
+		if all || *weak {
+			runWeak(emit, m)
+		}
+		if all || *rect {
+			if err := runRect(emit, m); err != nil {
+				fmt.Fprintln(os.Stderr, "scaling:", err)
+				code = 1
+			}
+		}
+		if *curves {
+			if err := runCurves(emit, m); err != nil {
+				fmt.Fprintln(os.Stderr, "scaling:", err)
+				code = 1
+			}
+		}
+		return code
+	})
 }
 
 // runCurves measures the quick strong+weak efficiency-vs-p curves on the

@@ -336,9 +336,9 @@ func TestWeakCurves(t *testing.T) {
 
 func TestCheckCurvesGate(t *testing.T) {
 	base := []CurvePoint{
-		{Family: "strong", Algorithm: "matmul-2.5d", Runtime: "goroutine", N: 96, P: 16, C: 1,
+		{Family: "strong", Algorithm: "matmul-2.5d", N: 96, P: 16, C: 1,
 			SimT: 1.0, Efficiency: 1.0, PhaseSpans: map[string]float64{"multiply-shift": 0.6, "reduce": 0.1}},
-		{Family: "strong", Algorithm: "matmul-2.5d", Runtime: "goroutine", N: 96, P: 32, C: 2,
+		{Family: "strong", Algorithm: "matmul-2.5d", N: 96, P: 32, C: 2,
 			SimT: 0.5, Efficiency: 0.98, PhaseSpans: map[string]float64{"multiply-shift": 0.3, "reduce": 0.06}},
 	}
 

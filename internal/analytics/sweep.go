@@ -21,12 +21,9 @@ import (
 type CurvePoint struct {
 	Family    string `json:"family"` // "strong" or "weak"
 	Algorithm string `json:"algorithm"`
-	// Runtime labels the simulator the row ran on; always curveRuntime
-	// (committed baselines key their rows on it).
-	Runtime string `json:"runtime"`
-	N       int    `json:"n"`
-	P       int    `json:"p"`
-	C       int    `json:"c,omitempty"`
+	N         int    `json:"n"`
+	P         int    `json:"p"`
+	C         int    `json:"c,omitempty"`
 
 	SimT    float64 `json:"sim_time_s"`
 	EnergyJ float64 `json:"energy_joules"`
@@ -65,12 +62,8 @@ type CurvePoint struct {
 
 // Key identifies the row for baseline matching.
 func (c CurvePoint) Key() string {
-	return fmt.Sprintf("%s/%s/%s/n%d/p%d/c%d", c.Family, c.Algorithm, c.Runtime, c.N, c.P, c.C)
+	return fmt.Sprintf("%s/%s/n%d/p%d/c%d", c.Family, c.Algorithm, c.N, c.P, c.C)
 }
-
-// curveRuntime is the Runtime label of every curve row: the event engine,
-// the simulator's only runtime.
-const curveRuntime = "event"
 
 // SweepConfig parameterizes the curve drivers.
 type SweepConfig struct {
@@ -179,7 +172,7 @@ func StrongMatMulCurve(sc SweepConfig, n, q int, cs []int) ([]CurvePoint, error)
 			return nil, fmt.Errorf("analytics: strong matmul q=%d c=%d: %w", q, c, err)
 		}
 		rows = append(rows, CurvePoint{
-			Family: "strong", Algorithm: "matmul-2.5d", Runtime: curveRuntime,
+			Family: "strong", Algorithm: "matmul-2.5d",
 			N: n, P: p, C: c,
 			SimT:      or.res.Time(),
 			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
@@ -233,7 +226,7 @@ func StrongNBodyCurve(sc SweepConfig, n, k int, cs []int) ([]CurvePoint, error) 
 			return nil, fmt.Errorf("analytics: strong nbody k=%d c=%d: %w", k, c, err)
 		}
 		rows = append(rows, CurvePoint{
-			Family: "strong", Algorithm: "nbody", Runtime: curveRuntime,
+			Family: "strong", Algorithm: "nbody",
 			N: n, P: p, C: c,
 			SimT:      or.res.Time(),
 			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
@@ -295,7 +288,7 @@ func RectSUMMACurve(sc SweepConfig, mDim, kDim, n, panel int, grids [][2]int) ([
 		_, p2 := bounds.RectRegimeBoundaries(float64(mDim), float64(kDim), float64(n))
 		_, regime := bounds.RectAccesses(float64(mDim), float64(kDim), float64(n), float64(p))
 		rows = append(rows, CurvePoint{
-			Family: "strong", Algorithm: "matmul-summa-rect", Runtime: curveRuntime,
+			Family: "strong", Algorithm: "matmul-summa-rect",
 			N: n, P: p, C: 1,
 			SimT:         or.res.Time(),
 			EnergyJ:      core.PriceSim(sc.Machine, or.res).Total(),
@@ -340,7 +333,7 @@ func WeakMatMulCurve(sc SweepConfig, nb int, qs []int) ([]CurvePoint, error) {
 			return nil, fmt.Errorf("analytics: weak matmul q=%d: %w", q, err)
 		}
 		rows = append(rows, CurvePoint{
-			Family: "weak", Algorithm: "matmul-2.5d", Runtime: curveRuntime,
+			Family: "weak", Algorithm: "matmul-2.5d",
 			N: n, P: p, C: 1,
 			SimT:      or.res.Time(),
 			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
@@ -385,7 +378,7 @@ func WeakNBodyCurve(sc SweepConfig, b int, ps []int) ([]CurvePoint, error) {
 			return nil, fmt.Errorf("analytics: weak nbody p=%d: %w", p, err)
 		}
 		rows = append(rows, CurvePoint{
-			Family: "weak", Algorithm: "nbody", Runtime: curveRuntime,
+			Family: "weak", Algorithm: "nbody",
 			N: n, P: p, C: 1,
 			SimT:      or.res.Time(),
 			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),
@@ -434,7 +427,7 @@ func WeakFFTCurve(sc SweepConfig, e int, ps []int) ([]CurvePoint, error) {
 			return nil, fmt.Errorf("analytics: weak fft p=%d: %w", p, err)
 		}
 		rows = append(rows, CurvePoint{
-			Family: "weak", Algorithm: "fft-tree", Runtime: curveRuntime,
+			Family: "weak", Algorithm: "fft-tree",
 			N: n, P: p, C: 1,
 			SimT:      or.res.Time(),
 			EnergyJ:   core.PriceSim(sc.Machine, or.res).Total(),

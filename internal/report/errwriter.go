@@ -16,9 +16,6 @@ type ErrWriter struct {
 	err error
 }
 
-// NewErrWriter wraps w.
-func NewErrWriter(w io.Writer) *ErrWriter { return &ErrWriter{w: w} }
-
 // Write implements io.Writer. After the first failure, writes are dropped.
 func (e *ErrWriter) Write(p []byte) (int, error) {
 	if e.err != nil {
@@ -41,20 +38,46 @@ func (e *ErrWriter) Println(args ...any) {
 	fmt.Fprintln(e, args...)
 }
 
+// Emit writes t as CSV when csv is set, else as an aligned text table
+// followed by a blank line.
+func (e *ErrWriter) Emit(t *Table, csv bool) {
+	if csv {
+		e.Printf("%s", t.CSV())
+	} else {
+		e.Println(t.Render())
+	}
+}
+
 // Err reports the first write failure, or nil.
 func (e *ErrWriter) Err() error { return e.err }
 
-// OpenOutput opens the report destination for a command's -o flag: the
-// named file, or stdout when path is empty. The returned close function
-// must be called (and its error checked) before exiting — Close is where a
-// buffered ENOSPC surfaces; stdout's close is a no-op.
-func OpenOutput(path string) (*ErrWriter, func() error, error) {
-	if path == "" {
-		return NewErrWriter(os.Stdout), func() error { return nil }, nil
+// Output is the report sink of every command: it runs body against the
+// file at path (created or truncated), or against stdout when path is
+// empty, and returns the command's exit code. That is body's own code, or
+// 1 with a "<cmd>: ..." line on stderr when the file cannot be created, a
+// write fails or the close fails (where a buffered ENOSPC surfaces). Call
+// it only after the command's flags are validated, so a usage error never
+// creates or truncates the file.
+func Output(cmd, path string, body func(*ErrWriter) int) int {
+	f := os.Stdout
+	if path != "" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+			return 1
+		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
+	w := &ErrWriter{w: f}
+	code := body(w)
+	if err := w.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: writing report: %v\n", cmd, err)
+		code = 1
 	}
-	return NewErrWriter(f), f.Close, nil
+	if path != "" {
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: closing output: %v\n", cmd, err)
+			code = 1
+		}
+	}
+	return code
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -23,7 +24,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 }
 
 func TestErrWriterRecordsFirstError(t *testing.T) {
-	w := NewErrWriter(&failAfter{n: 1})
+	w := &ErrWriter{w: &failAfter{n: 1}}
 	w.Printf("first write: %d\n", 1)
 	if w.Err() != nil {
 		t.Fatalf("first write errored: %v", w.Err())
@@ -40,7 +41,7 @@ func TestErrWriterRecordsFirstError(t *testing.T) {
 
 func TestErrWriterPassthrough(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewErrWriter(&buf)
+	w := &ErrWriter{w: &buf}
 	w.Printf("a=%d ", 1)
 	w.Println("b")
 	if w.Err() != nil {
@@ -51,18 +52,49 @@ func TestErrWriterPassthrough(t *testing.T) {
 	}
 }
 
-func TestOpenOutputFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.txt")
-	w, closeFn, err := OpenOutput(path)
+// redirect points *f (os.Stdout or os.Stderr) at a fresh temp file for the
+// rest of the test and returns a function reading what was written to it.
+func redirect(t *testing.T, f **os.File) func() string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "std")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Println("hello")
-	if w.Err() != nil {
-		t.Fatal(w.Err())
+	saved := *f
+	*f = tmp
+	t.Cleanup(func() {
+		*f = saved
+		tmp.Close()
+	})
+	return func() string {
+		data, err := os.ReadFile(tmp.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
 	}
-	if err := closeFn(); err != nil {
-		t.Fatal(err)
+}
+
+func hello(w *ErrWriter) int {
+	w.Println("hello")
+	return 0
+}
+
+func TestOutputStdout(t *testing.T) {
+	stdout := redirect(t, &os.Stdout)
+	if code := Output("cmd", "", hello); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	if got := stdout(); got != "hello\n" {
+		t.Fatalf("stdout holds %q", got)
+	}
+}
+
+func TestOutputFile(t *testing.T) {
+	stdout := redirect(t, &os.Stdout)
+	path := filepath.Join(t.TempDir(), "out.txt")
+	if code := Output("cmd", path, hello); code != 0 {
+		t.Fatalf("exit %d", code)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -71,23 +103,59 @@ func TestOpenOutputFile(t *testing.T) {
 	if string(data) != "hello\n" {
 		t.Fatalf("file holds %q", data)
 	}
-}
-
-func TestOpenOutputStdout(t *testing.T) {
-	w, closeFn, err := OpenOutput("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w == nil {
-		t.Fatal("nil writer for stdout")
-	}
-	if err := closeFn(); err != nil {
-		t.Fatalf("stdout close: %v", err)
+	if got := stdout(); got != "" {
+		t.Fatalf("stdout holds %q", got)
 	}
 }
 
-func TestOpenOutputBadPath(t *testing.T) {
-	if _, _, err := OpenOutput(filepath.Join(t.TempDir(), "no", "such", "dir", "f")); err == nil {
-		t.Fatal("creating a file in a missing directory succeeded")
+func TestOutputBadPath(t *testing.T) {
+	stderr := redirect(t, &os.Stderr)
+	ran := false
+	code := Output("cmd", filepath.Join(t.TempDir(), "no", "such", "dir", "f"), func(*ErrWriter) int {
+		ran = true
+		return 0
+	})
+	if code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if ran {
+		t.Fatal("body ran without an output")
+	}
+	if got := stderr(); !strings.HasPrefix(got, "cmd: ") {
+		t.Fatalf("diagnostic %q lacks the command name", got)
+	}
+}
+
+func TestOutputWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("/dev/full not available")
+	}
+	stderr := redirect(t, &os.Stderr)
+	if code := Output("cmd", "/dev/full", hello); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if got := stderr(); !strings.HasPrefix(got, "cmd: writing report:") {
+		t.Fatalf("diagnostic %q lacks the command name", got)
+	}
+}
+
+func TestOutputPassesBodyCode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.txt")
+	for _, want := range []int{0, 1, 2, 130} {
+		if code := Output("cmd", path, func(*ErrWriter) int { return want }); code != want {
+			t.Fatalf("body returned %d, Output returned %d", want, code)
+		}
+	}
+}
+
+func TestEmit(t *testing.T) {
+	tb := NewTable("T", "a", "b")
+	tb.AddRow(1, "x")
+	var buf bytes.Buffer
+	w := &ErrWriter{w: &buf}
+	w.Emit(tb, false)
+	w.Emit(tb, true)
+	if want := tb.Render() + "\n" + tb.CSV(); buf.String() != want {
+		t.Fatalf("wrote %q, want %q", buf.String(), want)
 	}
 }
